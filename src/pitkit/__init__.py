@@ -27,7 +27,15 @@ from .decode import (
     decode_stream,
     foreign_resonator,
 )
-from .detect import DetectorConfig, PeakReport, compute_snr, detect_peaks, fit_baseline
+from .detect import (
+    DetectorConfig,
+    PeakReport,
+    compute_snr,
+    detect_block,
+    detect_peaks,
+    detect_stream,
+    fit_baseline,
+)
 from .synth import (
     DisturbanceModel,
     GeometryScenario,

@@ -12,7 +12,7 @@ import os
 import sys
 
 from . import defaults
-from .circuit import CoilParams, CoupledPair, capacitance_for_resonance
+from .circuit import CoupledPair
 from .dca import DesignError, design_dca
 from .decode import PROFILE_PRESETS, DebounceConfig, RingProfile, decode_stream, events_to_jsonl
 from .detect import DetectorConfig, detect_peaks
@@ -122,15 +122,20 @@ def _sweep_config(seed: int) -> SweepConfig:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DataFormatError(f"{path}: {exc}") from None
-    return SweepConfig(
-        start_frequency=float(raw.get("start_frequency_hz", defaults.SWEEP_START_HZ)),
-        stop_frequency=float(raw.get("stop_frequency_hz", defaults.SWEEP_STOP_HZ)),
-        step=float(raw.get("step_hz", defaults.SWEEP_STEP_HZ)),
-        acquisition_rate=float(
-            raw.get("acquisition_rate_fps", defaults.ACQUISITION_RATE_FPS)
-        ),
-        seed=seed,
-    )
+    if not isinstance(raw, dict):
+        raise DataFormatError(f"{path}: expected a JSON object of sweep-grid settings")
+    try:
+        return SweepConfig(
+            start_frequency=float(raw.get("start_frequency_hz", defaults.SWEEP_START_HZ)),
+            stop_frequency=float(raw.get("stop_frequency_hz", defaults.SWEEP_STOP_HZ)),
+            step=float(raw.get("step_hz", defaults.SWEEP_STEP_HZ)),
+            acquisition_rate=float(
+                raw.get("acquisition_rate_fps", defaults.ACQUISITION_RATE_FPS)
+            ),
+            seed=seed,
+        )
+    except (TypeError, ValueError) as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
 
 
 def _cmd_synth(args) -> int:
@@ -140,13 +145,7 @@ def _cmd_synth(args) -> int:
     bridge = defaults.bridge_config()
 
     if args.events is None:
-        inductance, resistance, n_caps = defaults.TURN_TABLE[args.turns]
-        sensor = CoilParams(
-            inductance=inductance,
-            resistance=resistance + n_caps * defaults.CAPACITOR_ESR_OHM,
-            capacitance=capacitance_for_resonance(inductance, args.f0),
-        )
-        pair = CoupledPair(reader, sensor, args.coupling)
+        pair = CoupledPair(reader, defaults.ring_coil(args.f0, args.turns), args.coupling)
         sweep = synthesize_sweep(cfg, pair, bridge, disturb, t=args.time)
         sweep_to_csv(sweep, args.output)
         return 0

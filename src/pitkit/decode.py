@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .detect import DetectorConfig, PeakReport, detect_peaks
+from .detect import DetectorConfig, PeakReport, detect_stream
 
 KINDS = ("press", "slide", "joystick", "scroll")
 
@@ -279,6 +279,9 @@ def decode_stream(
     return to idle, frames with no in-band peak count as supporting
     evidence alongside explicit idle observations: the resonance of a
     held switch is either present or the switch is no longer held.
+
+    Detection runs on blocks of consecutive sweeps that share a grid
+    (see ``detect_stream``); the debouncer then steps frame by frame.
     """
     idle = deb.idle_label or profile.idle_label
     if profile.kind == "scroll":
@@ -289,8 +292,7 @@ def decode_stream(
     candidate: Optional[str] = None
     run = 0
     idle_run = 0
-    for sweep in sweeps:
-        peaks = detect_peaks(sweep, det)
+    for sweep, _, peaks in detect_stream(sweeps, det):
         observed = classify_state(peaks, profile)
         idle_run = idle_run + 1 if observed in (None, idle) else 0
 
@@ -337,8 +339,7 @@ def _decode_scroll_stream(sweeps, profile, det, deb) -> list[InputEvent]:
     candidate: Optional[frozenset] = None
     run = 0
     timeline: list[tuple] = []  # (timestamp, confirmed set, snr)
-    for sweep in sweeps:
-        peaks = detect_peaks(sweep, det)
+    for sweep, _, peaks in detect_stream(sweeps, det):
         observed = classify_state(peaks, profile)
         snr = max((p.snr for p in peaks), default=0.0)
         if observed == confirmed:

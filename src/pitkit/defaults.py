@@ -21,7 +21,6 @@ NOISE_SIGMA_DB = 0.002
 # Detection: peak threshold 10x the noise floor, degree-5 baseline.
 PEAK_THRESHOLD_DB = 0.02
 BASELINE_ORDER = 5
-MIN_PEAK_SEPARATION_HZ = 150e3
 
 # Reader (wristband) coil: 6 turns, tuned at 27 MHz, 55 ohm total series
 # resistance including the series matching resistor.
@@ -57,11 +56,6 @@ TURN_TABLE = {
 }
 CAPACITOR_ESR_OHM = 0.08
 
-RING_8TURN_INDUCTANCE_H = 1.8e-6
-RING_8TURN_RESISTANCE_OHM = 2.6
-RING_7TURN_INDUCTANCE_H = 1.4e-6
-RING_7TURN_RESISTANCE_OHM = 2.0
-
 
 def reader_coil() -> CoilParams:
     """Wristband reader coil tuned to its default resonance."""
@@ -76,11 +70,12 @@ def reader_coil() -> CoilParams:
 
 
 def ring_coil(frequency: float, turns: int = 8) -> CoilParams:
-    """Ring sensor coil with the given turn count, tuned to ``frequency``."""
-    inductance, resistance, _ = TURN_TABLE[turns]
+    """Ring sensor coil with the given turn count, tuned to ``frequency``.
+    Its loss resistance includes the ESR of every chip capacitor."""
+    inductance, resistance, n_caps = TURN_TABLE[turns]
     return CoilParams(
         inductance=inductance,
-        resistance=resistance,
+        resistance=resistance + n_caps * CAPACITOR_ESR_OHM,
         capacitance=capacitance_for_resonance(inductance, frequency),
         label=f"ring-{turns}turn",
     )

@@ -4,6 +4,11 @@ The detector fits a smooth polynomial baseline to each sweep, takes the
 residual, and reports local maxima that clear a fixed dB threshold.
 Because the baseline is re-fit every sweep, slow amplitude drift never
 accumulates into the detection statistic.
+
+Detection works on blocks: ``detect_block`` takes a (T, N) matrix of
+sweeps on one shared grid and fits all T baselines together, one batched
+solve per clipping pass.  ``detect_stream`` cuts a sweep train into such
+blocks, and ``detect_peaks`` is the one-row case.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,6 +30,10 @@ _SIGMA_FLOOR = 1e-12
 _MASK_SIGMA = 2.5
 _MASK_PASSES = 8
 _MASK_DILATION = 4
+# Most grid points (frames x points per frame) detected in one block: 80
+# frames on the 51-point grid, 10 on the 401-point grid.  The cap bounds
+# the memory each clipping pass holds in temporaries.
+BLOCK_POINTS = 4096
 
 
 @dataclass(frozen=True)
@@ -31,7 +41,6 @@ class DetectorConfig:
     baseline_order: int = 5
     peak_threshold: float = 0.02
     min_peak_separation: float = 150e3
-    refit_every_sweep: bool = True
 
     def __post_init__(self) -> None:
         if self.baseline_order < 1:
@@ -65,6 +74,43 @@ def _normalized_grid(frequencies: np.ndarray) -> np.ndarray:
     return (frequencies - frequencies.mean()) / ((frequencies[-1] - frequencies[0]) / 2.0)
 
 
+def _vandermonde(frequencies: np.ndarray, order: int) -> np.ndarray:
+    """Read-only (N, order + 1) powers of the normalized grid, built once
+    per (grid, order)."""
+    f = np.ascontiguousarray(frequencies, dtype=float)
+    if f.ndim != 1:
+        raise ValueError("frequencies must be 1-D")
+    return _cached_vandermonde(f.tobytes(), order)
+
+
+@lru_cache(maxsize=32)
+def _cached_vandermonde(grid: bytes, order: int) -> np.ndarray:
+    f = np.frombuffer(grid)
+    if len(f) <= order + 1:
+        raise ValueError(f"need more than {order + 1} points for order {order}")
+    if len(np.unique(f)) != len(f):
+        raise ValueError("degenerate grid: duplicate frequencies")
+    v = np.vander(_normalized_grid(f), order + 1, increasing=True)
+    v.flags.writeable = False
+    return v
+
+
+def _fit(v: np.ndarray, y: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
+    """Least-squares polynomial values for each row of ``y`` (T, N),
+    fitted on the points ``keep`` marks (all points when None).
+
+    Weighted normal equations, one batched solve over the rows, then one
+    step of iterative refinement: the normal matrix squares the design's
+    condition number, and the refinement step recovers the digits that
+    costs on sparsely masked rows.  Every product is a stack of per-row
+    products, so a row's result does not depend on the rows beside it."""
+    vt = v.T if keep is None else np.swapaxes(keep[:, :, None] * v, 1, 2)
+    normal = vt @ v
+    coeffs = np.linalg.solve(normal, vt @ y[:, :, None])
+    coeffs += np.linalg.solve(normal, vt @ (y[:, :, None] - v @ coeffs))
+    return (v @ coeffs)[:, :, 0]
+
+
 def fit_baseline(sweep: Sweep, order: int) -> np.ndarray:
     """Least-squares polynomial baseline of the given degree.
 
@@ -72,53 +118,75 @@ def fit_baseline(sweep: Sweep, order: int) -> np.ndarray:
     equations, and adding any in-span polynomial of degree <= order to
     the trace leaves the residual unchanged.
     """
-    f = sweep.frequencies
-    if len(f) <= order + 1:
-        raise ValueError(f"need more than {order + 1} points for order {order}")
-    if len(np.unique(f)) != len(f):
-        raise ValueError("degenerate grid: duplicate frequencies")
-    x = _normalized_grid(f)
-    coeffs = np.polynomial.polynomial.polyfit(x, sweep.magnitudes_db, order)
-    return np.polynomial.polynomial.polyval(x, coeffs)
+    return _fit(_vandermonde(sweep.frequencies, order), sweep.magnitudes_db[None, :])[0]
 
 
-def _robust_sigma(residual: np.ndarray) -> float:
-    med = np.median(residual)
-    return 1.4826 * float(np.median(np.abs(residual - med)))
+def _row_median(a: np.ndarray) -> np.ndarray:
+    """Medians (T, 1) of the rows of ``a``, equal to ``np.median`` without
+    its per-call overhead: one partition, and for an even row length the
+    mean of the two middle values."""
+    half = a.shape[1] // 2
+    if a.shape[1] % 2:
+        return np.partition(a, half, axis=1)[:, half : half + 1]
+    part = np.partition(a, (half - 1, half), axis=1)
+    return (part[:, half - 1 : half] + part[:, half : half + 1]) / 2.0
 
 
-def _masked_baseline(sweep: Sweep, order: int) -> np.ndarray:
-    """Sigma-clipped baseline: fit, drop outlying points (the peak and
-    one neighbor on each side), refit, and repeat until the mask stops
-    changing.  Clipping keeps a resonance from pulling the fit upward
-    underneath itself."""
-    x = _normalized_grid(sweep.frequencies)
-    y = sweep.magnitudes_db
-    base = fit_baseline(sweep, order)
-    keep = np.ones(len(y), dtype=bool)
+def _median_and_sigma(residual: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row medians (T, 1) and robust sigmas (T,) from the median
+    absolute deviation."""
+    med = _row_median(residual)
+    return med, 1.4826 * _row_median(np.abs(residual - med))[:, 0]
+
+
+def _masked_baseline(v: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Sigma-clipped baselines of the rows of ``y``: fit, drop outlying
+    points (the peak and its neighbors on each side), refit, and repeat
+    until the mask stops changing.  Clipping keeps a resonance from
+    pulling the fit upward underneath itself.
+
+    Each row stops on its own: when its robust sigma reaches the floor,
+    when its mask would leave too few points, when its mask is
+    unchanged, or after the last pass.  Each pass refits the rows still
+    going together."""
+    base = _fit(v, y)
+    keep = np.ones(y.shape, dtype=bool)
+    rows = np.arange(len(y))
     for _ in range(_MASK_PASSES):
-        residual = y - base
-        sigma = _robust_sigma(residual)
-        if sigma <= _SIGMA_FLOOR:
-            break
+        residual = y[rows] - base[rows]
+        med, sigma = _median_and_sigma(residual)
         # one-sided: resonance signatures are positive bumps, and points
         # below the fit anchor it against running away near the edges
-        outlier = residual - np.median(residual) >= _MASK_SIGMA * sigma
+        outlier = residual - med >= _MASK_SIGMA * sigma[:, None]
         dilated = outlier.copy()
         for shift in range(1, _MASK_DILATION + 1):
-            dilated[:-shift] |= outlier[shift:]
-            dilated[shift:] |= outlier[:-shift]
+            dilated[:, :-shift] |= outlier[:, shift:]
+            dilated[:, shift:] |= outlier[:, :-shift]
         new_keep = ~dilated
-        if new_keep.sum() <= order + 1 or np.array_equal(new_keep, keep):
+        go = (
+            (sigma > _SIGMA_FLOOR)
+            & (new_keep.sum(axis=1) > v.shape[1])
+            & (new_keep != keep[rows]).any(axis=1)
+        )
+        rows = rows[go]
+        if not len(rows):
             break
-        keep = new_keep
-        coeffs = np.polynomial.polynomial.polyfit(x[keep], y[keep], order)
-        base = np.polynomial.polynomial.polyval(x, coeffs)
+        keep[rows] = new_keep[go]
+        base[rows] = _fit(v, y[rows], keep[rows])
     return base
 
 
-def detect_peaks(sweep: Sweep, cfg: DetectorConfig = DetectorConfig()) -> list[PeakReport]:
-    """Thresholded local maxima of the baseline residual.
+def detect_block(
+    frequencies: np.ndarray,
+    magnitudes: np.ndarray,
+    cfg: DetectorConfig = DetectorConfig(),
+) -> tuple[np.ndarray, list[list[PeakReport]]]:
+    """Baseline residuals and peak reports for a block of sweeps.
+
+    ``frequencies`` is the grid (N,) that every row of ``magnitudes``
+    (T, N, in dB) shares.  Returns the (T, N) residuals of the masked
+    baseline fit and, per row, the thresholded local maxima of that
+    residual.
 
     A point is a peak when it strictly exceeds both neighbors and its
     residual height is at or above the threshold (closed comparison).
@@ -127,34 +195,93 @@ def detect_peaks(sweep: Sweep, cfg: DetectorConfig = DetectorConfig()) -> list[P
     reported frequency is refined below the grid step by the vertex of
     the parabola through the maximum and its two neighbors.
     """
-    residual = sweep.magnitudes_db - _masked_baseline(sweep, cfg.baseline_order)
-    sigma = max(_robust_sigma(residual), _SIGMA_FLOOR)
+    v = _vandermonde(frequencies, cfg.baseline_order)
+    f = np.asarray(frequencies, dtype=float)
+    y = np.asarray(magnitudes, dtype=float)
+    if y.ndim != 2 or y.shape[1] != len(f):
+        raise ValueError(f"magnitudes must be (T, {len(f)}), got {y.shape}")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("magnitudes must be finite")
+    if not len(y):
+        return np.empty(y.shape), []
 
-    r = residual
-    candidates = [
-        i
-        for i in range(1, len(r) - 1)
-        if r[i] > r[i - 1] and r[i] > r[i + 1] and r[i] >= cfg.peak_threshold
+    residual = y - _masked_baseline(v, y)
+    sigma = np.maximum(_median_and_sigma(residual)[1], _SIGMA_FLOOR)
+    inner = residual[:, 1:-1]
+    candidate = (
+        (inner > residual[:, :-2])
+        & (inner > residual[:, 2:])
+        & (inner >= cfg.peak_threshold)
+    )
+    peaks = [
+        _row_peaks(f, r, float(s), np.flatnonzero(c) + 1, cfg)
+        for r, s, c in zip(residual, sigma, candidate)
     ]
-    candidates.sort(key=lambda i: r[i], reverse=True)
+    return residual, peaks
 
+
+def _row_peaks(
+    frequencies: np.ndarray,
+    residual: np.ndarray,
+    sigma: float,
+    candidates: np.ndarray,
+    cfg: DetectorConfig,
+) -> list[PeakReport]:
     kept: list[int] = []
-    for i in candidates:
+    for i in candidates[np.argsort(-residual[candidates], kind="stable")].tolist():
         if all(
-            abs(sweep.frequencies[i] - sweep.frequencies[j]) >= cfg.min_peak_separation
+            abs(frequencies[i] - frequencies[j]) >= cfg.min_peak_separation
             for j in kept
         ):
             kept.append(i)
-
     return [
         PeakReport(
-            peak_frequency=_vertex_frequency(sweep.frequencies, r, i),
-            peak_height=float(r[i]),
-            snr=float(r[i] / sigma),
+            peak_frequency=_vertex_frequency(frequencies, residual, i),
+            peak_height=float(residual[i]),
+            snr=float(residual[i] / sigma),
             baseline_residual_sigma=sigma,
         )
         for i in kept
     ]
+
+
+def detect_stream(sweeps, cfg: DetectorConfig = DetectorConfig()):
+    """Yield (sweep, residual, peaks) for each sweep of a train, in order.
+
+    Consecutive sweeps on one grid are detected together in blocks of at
+    most ``BLOCK_POINTS`` grid points; a grid change starts a new block.
+    The input is consumed one block at a time, so a generator of sweeps
+    is never held in memory whole.
+    """
+    block: list[Sweep] = []
+    rows = 1
+    for sweep in sweeps:
+        if block and (
+            len(block) >= rows
+            or not (
+                sweep.frequencies is block[0].frequencies
+                or np.array_equal(sweep.frequencies, block[0].frequencies)
+            )
+        ):
+            yield from _detect_sweeps(block, cfg)
+            block = []
+        if not block:
+            rows = max(1, BLOCK_POINTS // max(1, len(sweep.frequencies)))
+        block.append(sweep)
+    if block:
+        yield from _detect_sweeps(block, cfg)
+
+
+def _detect_sweeps(block: list[Sweep], cfg: DetectorConfig):
+    residuals, peaks = detect_block(
+        block[0].frequencies, np.stack([s.magnitudes_db for s in block]), cfg
+    )
+    return zip(block, residuals, peaks)
+
+
+def detect_peaks(sweep: Sweep, cfg: DetectorConfig = DetectorConfig()) -> list[PeakReport]:
+    """Peak reports of one sweep: ``detect_block`` on a one-row block."""
+    return detect_block(sweep.frequencies, sweep.magnitudes_db[None, :], cfg)[1][0]
 
 
 def _vertex_frequency(frequencies: np.ndarray, residual: np.ndarray, i: int) -> float:

@@ -15,9 +15,9 @@ import numpy as np
 
 from . import defaults
 from .bridge import BridgeConfig
-from .circuit import CoilParams, CoupledPair, capacitance_for_resonance
+from .circuit import CoilParams, CoupledPair
 from .decode import PRESS_PROFILE, DebounceConfig, decode_stream, foreign_resonator
-from .detect import DetectorConfig, _masked_baseline, compute_snr, detect_peaks
+from .detect import DetectorConfig, compute_snr, detect_block, detect_peaks, detect_stream
 from .synth import (
     DisturbanceModel,
     GeometryScenario,
@@ -65,16 +65,6 @@ class ExperimentSpec:
             )
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-
-
-def _sensor_coil(f0: float, turns: int, cap_esr: float = defaults.CAPACITOR_ESR_OHM) -> CoilParams:
-    inductance, resistance, n_caps = defaults.TURN_TABLE[turns]
-    return CoilParams(
-        inductance=inductance,
-        resistance=resistance + n_caps * cap_esr,
-        capacitance=capacitance_for_resonance(inductance, f0),
-        label=f"ring-{turns}turn",
-    )
 
 
 def noiseless_peak(
@@ -143,20 +133,20 @@ def calibrate_coupling(
     noisy = DisturbanceModel(noise_sigma=noise_sigma)
     det = DetectorConfig()
 
-    def residual(k: float, disturb: DisturbanceModel, t: float = 0.0) -> np.ndarray:
-        sweep = synthesize_sweep(cfg, CoupledPair(reader, sensor, k), bridge, disturb, t=t)
-        return sweep.magnitudes_db - _masked_baseline(sweep, det.baseline_order)
+    def sweep(k: float, disturb: DisturbanceModel, t: float = 0.0):
+        return synthesize_sweep(cfg, CoupledPair(reader, sensor, k), bridge, disturb, t=t)
 
-    def residual_height(k: float, disturb: DisturbanceModel, t: float = 0.0) -> float:
-        return float(residual(k, disturb, t).max())
+    def quiet_residual(k: float) -> np.ndarray:
+        s = sweep(k, quiet)
+        return detect_block(s.frequencies, s.magnitudes_db[None, :], det)[0][0]
 
     def bisect(target: float) -> float:
         lo, hi = 1e-6, 0.05
-        if residual_height(hi, quiet) < target:
+        if quiet_residual(hi).max() < target:
             raise ValueError("target SNR unreachable within coupling bounds")
         for _ in range(40):
             mid = math.sqrt(lo * hi)
-            if residual_height(mid, quiet) < target:
+            if quiet_residual(mid).max() < target:
                 lo = mid
             else:
                 hi = mid
@@ -166,17 +156,13 @@ def calibrate_coupling(
     # Detection is decided by the residual in the few grid bins around the
     # resonance, so the deficit is measured on that window rather than on
     # the sweep-wide maximum (which rides the highest noise excursion).
-    peak_bin = int(np.argmax(residual(k0, quiet)))
+    peak_bin = int(np.argmax(quiet_residual(k0)))
     lo_bin, hi_bin = max(peak_bin - 1, 0), peak_bin + 2
     frames = 240
     rate = cfg.acquisition_rate
+    noisy_sweeps = (sweep(k0, noisy, t=i / rate) for i in range(frames))
     noisy_mean = float(
-        np.mean(
-            [
-                residual(k0, noisy, t=i / rate)[lo_bin:hi_bin].max()
-                for i in range(frames)
-            ]
-        )
+        np.mean([r[lo_bin:hi_bin].max() for _, r, _ in detect_stream(noisy_sweeps, det)])
     )
     deficit = max(target_height - noisy_mean, 0.0)
     if deficit == 0.0:
@@ -200,7 +186,7 @@ def snr_vs_turns(trials: int, seed: int):
     rows = []
     by_turn = {}
     for turns in sorted(defaults.TURN_TABLE):
-        sensor = _sensor_coil(29e6, turns)
+        sensor = defaults.ring_coil(29e6, turns)
         pair = CoupledPair(reader, sensor, defaults.K_REFERENCE)
         snrs = []
         for trial in range(trials):
@@ -233,7 +219,7 @@ def snr_vs_frequency(trials: int, seed: int):
     rows = []
     band = []
     for f0_mhz in range(20, 41):
-        sensor = _sensor_coil(f0_mhz * 1e6, 8)
+        sensor = defaults.ring_coil(f0_mhz * 1e6, 8)
         pair = CoupledPair(reader, sensor, defaults.K_REFERENCE)
         snrs = []
         for trial in range(trials):
@@ -253,7 +239,7 @@ def snr_vs_distance(trials: int, seed: int):
     reader = defaults.reader_coil()
     bridge = defaults.bridge_config()
     disturb = DisturbanceModel(noise_sigma=defaults.NOISE_SIGMA_DB)
-    sensor = _sensor_coil(29e6, 8)
+    sensor = defaults.ring_coil(29e6, 8)
     rows = []
     reach = None
     for d_cm in range(5, 21):
@@ -280,7 +266,7 @@ def snr_vs_angle(trials: int, seed: int):
     reader = defaults.reader_coil()
     bridge = defaults.bridge_config()
     disturb = DisturbanceModel(noise_sigma=defaults.NOISE_SIGMA_DB)
-    sensor = _sensor_coil(29e6, 8)
+    sensor = defaults.ring_coil(29e6, 8)
     rows = []
     detectable = []
     for angle in (0, 30, 50, 70):
@@ -306,7 +292,7 @@ def snr_vs_angle(trials: int, seed: int):
 def snr_vs_metal(trials: int, seed: int):
     reader = defaults.reader_coil()
     bridge = defaults.bridge_config()
-    sensor = _sensor_coil(29e6, 8)
+    sensor = defaults.ring_coil(29e6, 8)
     pair = CoupledPair(reader, sensor, defaults.K_REFERENCE)
     det = DetectorConfig()
     rows = []
@@ -360,7 +346,7 @@ def press_accuracy_session(
     reader = defaults.reader_coil()
     bridge = defaults.bridge_config()
     cfg = SweepConfig(seed=seed)
-    sensor = _sensor_coil(PRESS_PROFILE.frequency_of("off"), turns)
+    sensor = defaults.ring_coil(PRESS_PROFILE.frequency_of("off"), turns)
     k = calibrate_coupling(target_snr, sensor, reader, bridge, cfg)
     scene = GeometryScenario(
         reference_coupling=k, reference_distance=defaults.REFERENCE_DISTANCE_M

@@ -6,7 +6,9 @@ metal-proximity perturbations to produce traces the detector consumes.
 
 Generation is a pure function of (configs, seed, timestamp): the noise
 generator is re-seeded per call from (seed, timestamp), so sweeps can be
-produced in any order or in parallel and stay bit-identical.
+produced in any order or in parallel and stay bit-identical.  The terms
+that depend only on the grid, reader and bridge, and the drift phases of
+each seed, are computed once and shared read-only between sweeps.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -109,9 +112,36 @@ def coupling_from_geometry(scene: GeometryScenario) -> float:
     return min(max(k, 0.0), 1.0 - 1e-12)
 
 
+def _read_only(*arrays: np.ndarray) -> tuple:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=256)
 def _drift_phases(seed: int) -> np.ndarray:
     rng = np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFF, 0xD217]))
-    return rng.uniform(0.0, 2.0 * math.pi, size=4)
+    return _read_only(rng.uniform(0.0, 2.0 * math.pi, size=4))[0]
+
+
+@lru_cache(maxsize=32)
+def _grid_terms(
+    start: float, stop: float, step: float, reader: CoilParams, bridge: BridgeConfig
+) -> tuple:
+    """Per-frame invariants of one (grid, reader, bridge): frequencies,
+    normalized grid, reader impedance, unloaded bridge level and the
+    static quadratic offset.  Computed once and returned read-only."""
+    f = SweepConfig(start, stop, step).frequencies()
+    x = (f - f.mean()) / ((f[-1] - f[0]) / 2.0)
+    z_reader = sensor_impedance(reader, f)
+    p_unloaded = to_db_magnitude(
+        bridge_output(bridge, z_reader, z_reader), bridge.input_amplitude
+    )
+    # Static offset from the deliberate reference mismatch: a quadratic in
+    # f carrying the magnitude of the unloaded bridge response.
+    quad = np.polynomial.polynomial.polyfit(x, p_unloaded, 2)
+    offset = np.polynomial.polynomial.polyval(x, quad)
+    return _read_only(f, x, z_reader, p_unloaded, offset)
 
 
 def _noise_rng(seed: int, t: float) -> np.random.Generator:
@@ -142,8 +172,9 @@ def synthesize_sweep(
 ) -> Sweep:
     """One analyzer sweep at time ``t``: bridge transfer magnitude in dB
     plus metal baseline, drift, and per-point Gaussian noise."""
-    f = cfg.frequencies()
-    x = (f - f.mean()) / ((f[-1] - f[0]) / 2.0)
+    f, x, z_reader, p_unloaded, offset = _grid_terms(
+        cfg.start_frequency, cfg.stop_frequency, cfg.step, pair.reader, bridge
+    )
     phases = _drift_phases(cfg.seed)
 
     f0_shift = disturb.nearby_resonator_shift
@@ -156,19 +187,12 @@ def synthesize_sweep(
         )
     pair_t = CoupledPair(pair.reader, _shifted_sensor(pair.sensor, f0_shift), pair.coupling)
 
-    z_reader = sensor_impedance(pair_t.reader, f)
     z_load = load_impedance(pair_t, f)
-    v_loaded = bridge_output(bridge, z_load, z_reader)
-    v_unloaded = bridge_output(bridge, z_reader, z_reader)
-    p_loaded = to_db_magnitude(v_loaded, bridge.input_amplitude)
-    p_unloaded = to_db_magnitude(v_unloaded, bridge.input_amplitude)
+    p_loaded = to_db_magnitude(bridge_output(bridge, z_load, z_reader), bridge.input_amplitude)
 
-    # Static offset from the deliberate reference mismatch: a quadratic in
-    # f carrying the magnitude of the unloaded bridge response.  The
-    # sensor's reflected signature rides on top of it as the exact
-    # loaded/unloaded level difference.
-    quad = np.polynomial.polynomial.polyfit(x, p_unloaded, 2)
-    p = np.polynomial.polynomial.polyval(x, quad) + (p_loaded - p_unloaded)
+    # The sensor's reflected signature rides on the static offset as the
+    # exact loaded/unloaded level difference.
+    p = offset + (p_loaded - p_unloaded)
 
     if disturb.metal_baseline is not None:
         p = p + np.polynomial.polynomial.polyval(x, np.asarray(disturb.metal_baseline, float))
@@ -306,10 +330,21 @@ def session_from_json(path) -> list[Sweep]:
     if not isinstance(records, list):
         raise DataFormatError(f"{path}: expected a JSON array of sweep records")
     sweeps = []
+    previous = 0.0
     for i, rec in enumerate(records):
         if not isinstance(rec, dict) or "timestamp_s" not in rec:
             raise DataFormatError(f"{path}: record {i}: missing 'timestamp_s'")
-        t = float(rec["timestamp_s"])
+        try:
+            t = float(rec["timestamp_s"])
+        except (TypeError, ValueError) as exc:
+            raise DataFormatError(f"{path}: record {i}: timestamp_s: {exc}") from None
+        # decoding assumes a time-ordered train
+        if not math.isfinite(t) or t < previous:
+            raise DataFormatError(
+                f"{path}: record {i}: timestamp_s {t!r} must be finite, >= 0 "
+                f"and not before the previous record ({previous!r})"
+            )
+        previous = t
         if "sweep_file" in rec:
             ref = os.path.join(os.path.dirname(os.fspath(path)), rec["sweep_file"])
             sweeps.append(sweep_from_csv(ref, timestamp=t))

@@ -24,8 +24,8 @@ class Sweep:
             raise ValueError("frequencies must be strictly increasing")
         if not np.all(np.isfinite(f)):
             raise ValueError("frequencies must be finite")
-        if np.any(np.isnan(m)):
-            raise ValueError("magnitudes must not contain NaN")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("magnitudes must be finite (no NaN or inf)")
         f.flags.writeable = False
         m.flags.writeable = False
         object.__setattr__(self, "frequencies", f)

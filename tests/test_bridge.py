@@ -49,12 +49,17 @@ def test_output_is_linear_in_input_amplitude():
 
 
 @given(
-    dz_mag=st.floats(1e-6, 0.55),  # up to 0.01 * |Z_ref|
+    dz_mag=st.floats(1e-6, 0.5445),  # up to 0.0099 * |Z_ref|
     dz_phase=st.floats(0.0, 2.0 * math.pi),
 )
 def test_linearization_within_one_percent(dz_mag, dz_phase):
     """The small-signal form R_amp * dZ / Z_ref^2 * V_in tracks the exact
-    difference of reciprocals to 1% while |dZ| <= 0.01 |Z_ref|."""
+    difference of reciprocals to 1% while |dZ| <= 0.0099 |Z_ref|.
+
+    The exact relative error is |dZ| / |Z_ref + dZ|, at most
+    |dZ| / (|Z_ref| - |dZ|).  At |dZ| = 0.01 |Z_ref| with dZ pointing
+    against Z_ref that is 1/99, just over 1%; at 0.0099 |Z_ref| it is
+    0.0099 / 0.9901, just under."""
     cfg = BridgeConfig(amplifier_resistance=100.0, reference_impedance=55.0 + 0j)
     dz = dz_mag * complex(math.cos(dz_phase), math.sin(dz_phase))
     z_ref = cfg.reference_impedance

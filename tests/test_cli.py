@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from pitkit.cli import main
+from pitkit.cli import _sweep_config, main
+from pitkit.synth import DataFormatError
 
 
 def run(capsys, *argv):
@@ -103,6 +104,34 @@ class TestSynthDetect:
         assert run(capsys, "synth", "--output", str(out_path))[0] == 0
         assert len(out_path.read_text().splitlines()) == 1 + 101
 
+    @pytest.mark.parametrize("raw", ["[27e6, 30e6]", "42", '"grid"', "null"])
+    def test_config_env_not_an_object(self, capsys, tmp_path, monkeypatch, raw):
+        cfg_path = tmp_path / "grid.json"
+        cfg_path.write_text(raw)
+        monkeypatch.setenv("PITKIT_CONFIG", str(cfg_path))
+        with pytest.raises(DataFormatError, match="JSON object"):
+            _sweep_config(0)
+        code, _, err = run(capsys, "synth", "--output", str(tmp_path / "x.csv"))
+        assert code == 1 and "JSON object" in err
+
+    def test_config_env_bad_value(self, capsys, tmp_path, monkeypatch):
+        cfg_path = tmp_path / "grid.json"
+        cfg_path.write_text('{"step_hz": [60e3]}')
+        monkeypatch.setenv("PITKIT_CONFIG", str(cfg_path))
+        with pytest.raises(DataFormatError):
+            _sweep_config(0)
+
+    def test_detect_infinite_magnitude(self, capsys, tmp_path):
+        sweep_path = tmp_path / "sweep.csv"
+        assert run(capsys, "synth", "--output", str(sweep_path))[0] == 0
+        lines = sweep_path.read_text().splitlines()
+        freq = lines[4].split(",")[0]
+        lines[4] = f"{freq},inf"
+        sweep_path.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, "detect", str(sweep_path))
+        assert code == 1
+        assert out == "" and "finite" in err
+
     def test_config_env_bad_json(self, capsys, tmp_path, monkeypatch):
         cfg_path = tmp_path / "grid.json"
         cfg_path.write_text("{not json")
@@ -163,6 +192,20 @@ class TestSynthDecode:
             for line in out_path.read_text().splitlines()
         ]
         assert names == ["press-down", "press-up"]
+
+    def test_decode_rejects_reversed_session(self, capsys, tmp_path):
+        events_path = tmp_path / "events.json"
+        events_path.write_text(json.dumps([[1.0, "off"], [2.0, "on"]]))
+        session_path = tmp_path / "session.json"
+        run(capsys, "synth", "--output", str(session_path),
+            "--events", str(events_path), "--duration", "3.0")
+        records = json.loads(session_path.read_text())
+        session_path.write_text(json.dumps(records[::-1]))
+        code, out, err = run(
+            capsys, "decode", "--session", str(session_path), "--profile", "press"
+        )
+        assert code == 1
+        assert out == "" and "timestamp_s" in err
 
     def test_unknown_profile_name(self, capsys, tmp_path):
         session_path = tmp_path / "session.json"

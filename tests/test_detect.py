@@ -6,12 +6,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pitkit import defaults
+from pitkit.decode import PROFILE_PRESETS, decode_stream
 from pitkit.detect import (
+    BLOCK_POINTS,
     DetectorConfig,
+    _row_median,
     compute_snr,
+    detect_block,
     detect_peaks,
+    detect_stream,
     fit_baseline,
 )
+from pitkit.synth import DisturbanceModel, SweepConfig, scripted_session
 from pitkit.trace import Sweep
 
 GRID = 27e6 + 60e3 * np.arange(51)
@@ -201,3 +208,242 @@ class TestComputeSnr:
         snr_off = compute_snr(with_sensor, without, GRID[idx] + 40e3)
         assert snr_on == pytest.approx(50.0)
         assert snr_off == pytest.approx(0.0)
+
+
+# ---------------------------------------------------------------------------
+# block path
+
+
+def reference_residual(frequencies, magnitudes, order):
+    """Oracle: the sigma-clipped baseline one sweep at a time, with
+    ``polyfit`` on the kept points each pass (SVD least squares)."""
+    poly = np.polynomial.polynomial
+    x = (frequencies - frequencies.mean()) / ((frequencies[-1] - frequencies[0]) / 2.0)
+    y = magnitudes
+    base = poly.polyval(x, poly.polyfit(x, y, order))
+    keep = np.ones(len(y), dtype=bool)
+    for _ in range(8):
+        residual = y - base
+        med = np.median(residual)
+        sigma = 1.4826 * float(np.median(np.abs(residual - med)))
+        if sigma <= 1e-12:
+            break
+        outlier = residual - med >= 2.5 * sigma
+        dilated = outlier.copy()
+        for shift in range(1, 5):
+            dilated[:-shift] |= outlier[shift:]
+            dilated[shift:] |= outlier[:-shift]
+        if dilated.size - dilated.sum() <= order + 1 or np.array_equal(~dilated, keep):
+            break
+        keep = ~dilated
+        base = poly.polyval(x, poly.polyfit(x[keep], y[keep], order))
+    return y - base
+
+
+def reference_peaks(frequencies, residual, cfg):
+    """Oracle: (index, snr) of thresholded, separation-pruned local maxima,
+    strongest first."""
+    med = np.median(residual)
+    sigma = max(1.4826 * float(np.median(np.abs(residual - med))), 1e-12)
+    r = residual
+    candidates = [
+        i
+        for i in range(1, len(r) - 1)
+        if r[i] > r[i - 1] and r[i] > r[i + 1] and r[i] >= cfg.peak_threshold
+    ]
+    candidates.sort(key=lambda i: r[i], reverse=True)
+    kept = []
+    for i in candidates:
+        if all(abs(frequencies[i] - frequencies[j]) >= cfg.min_peak_separation for j in kept):
+            kept.append(i)
+    return [(i, r[i] / sigma) for i in kept]
+
+
+def peak_indices(residual_row, peaks):
+    """Grid index of each report: its height is the residual there."""
+    return [int(np.flatnonzero(residual_row == p.peak_height)[0]) for p in peaks]
+
+
+@st.composite
+def blocks(draw, max_rows=5):
+    """A random grid (10-401 points), a detector order 1-6 and up to
+    ``max_rows`` sweeps of polynomial background, bumps and noise."""
+    n = draw(st.integers(10, 401))
+    start = draw(st.floats(1e6, 50e6))
+    step = draw(st.floats(1e3, 200e3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    frequencies = start + step * (np.arange(n) + rng.uniform(-0.3, 0.3, n))
+    order = draw(st.integers(1, 6))
+    rows = draw(st.integers(0, max_rows))
+    x = np.linspace(-1.0, 1.0, n)
+    noise = draw(st.floats(1e-4, 0.01))
+    magnitudes = np.empty((rows, n))
+    for t in range(rows):
+        y = np.polynomial.polynomial.polyval(x, rng.normal(0.0, 0.5, 4)) - 55.0
+        for _ in range(draw(st.integers(0, 3))):
+            center = rng.uniform(-1.0, 1.0)
+            width = rng.uniform(2.0, 8.0) / n
+            y += rng.uniform(0.0, 0.3) * np.exp(-0.5 * ((x - center) / width) ** 2)
+        magnitudes[t] = y + rng.normal(0.0, noise, n)
+    return frequencies, magnitudes, DetectorConfig(baseline_order=order)
+
+
+class TestDetectBlock:
+    @given(block=blocks())
+    @settings(max_examples=60, deadline=None)
+    def test_block_equals_rows(self, block):
+        """Detecting a block gives each row exactly what detecting it alone
+        does, so block boundaries never change a decoded stream."""
+        f, y, cfg = block
+        residual, peaks = detect_block(f, y, cfg)
+        assert residual.shape == y.shape and len(peaks) == len(y)
+        for t in range(len(y)):
+            row_residual, (row_peaks,) = detect_block(f, y[t : t + 1], cfg)
+            assert np.array_equal(residual[t], row_residual[0])
+            assert peaks[t] == row_peaks
+
+    @given(block=blocks(max_rows=3))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_masked_baseline(self, block):
+        """Residuals within 1e-9 dB of the per-sweep polyfit oracle, the
+        same peak indices, and SNR within 1e-6 relative.
+
+        Where clipping leaves a high-order fit few points near one end,
+        its extrapolation runs to tens of dB and both solvers carry a
+        relative error near 1e-11 (the oracle's is the larger against a
+        40-digit solution), so the bound also has a 1e-10 relative part."""
+        f, y, cfg = block
+        residual, peaks = detect_block(f, y, cfg)
+        for t in range(len(y)):
+            expected = reference_residual(f, y[t], cfg.baseline_order)
+            np.testing.assert_allclose(residual[t], expected, rtol=1e-10, atol=1e-9)
+            oracle = reference_peaks(f, expected, cfg)
+            assert peak_indices(residual[t], peaks[t]) == [i for i, _ in oracle]
+            for p, (_, snr) in zip(peaks[t], oracle):
+                assert p.snr == pytest.approx(snr, rel=1e-6)
+
+    @given(
+        rows=st.integers(1, 4),
+        n=st.integers(1, 60),
+        seed=st.integers(0, 2**32 - 1),
+        ties=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_row_median_is_numpy_median(self, rows, n, seed, ties):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(0.0, 1.0, (rows, n))
+        if ties:
+            a = np.round(a, 1)
+        expected = np.median(a, axis=1, keepdims=True)
+        assert np.array_equal(_row_median(a), expected)
+
+    def test_empty_block(self):
+        residual, peaks = detect_block(GRID, np.empty((0, 51)))
+        assert residual.shape == (0, 51) and peaks == []
+
+    def test_one_row_block_is_detect_peaks(self):
+        y = sloped_background() + gaussian_peak(28.5e6, 0.1)
+        residual, (peaks,) = detect_block(GRID, y[None, :])
+        assert residual.shape == (1, 51)
+        assert peaks == detect_peaks(Sweep(GRID, y))
+        assert len(peaks) == 1
+
+    def test_too_few_points_raise(self):
+        with pytest.raises(ValueError, match="need more than"):
+            detect_block(GRID[:6], np.zeros((2, 6)))
+        with pytest.raises(ValueError, match="need more than"):
+            detect_block(GRID[:6], np.zeros((0, 6)))
+
+    def test_duplicate_frequencies_raise(self):
+        grid = GRID.copy()
+        grid[10] = grid[9]
+        with pytest.raises(ValueError, match="duplicate"):
+            detect_block(grid, np.zeros((2, 51)))
+
+    def test_shape_mismatch_raises(self):
+        with pytest.raises(ValueError):
+            detect_block(GRID, np.zeros((2, 50)))
+        with pytest.raises(ValueError):
+            detect_block(GRID, np.zeros(51))
+
+    def test_non_finite_magnitudes_raise(self):
+        y = np.full((2, 51), -55.0)
+        y[1, 7] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            detect_block(GRID, y)
+
+
+def press_session(step, seed, duration):
+    """Synthesized press session on one grid: presses every 4 s."""
+    inductance, resistance, n_caps = defaults.TURN_TABLE[8]
+    events = []
+    for i in range(int(duration // 4)):
+        events += [(4.0 * i + 1.0, "off"), (4.0 * i + 3.0, "on")]
+    return scripted_session(
+        events,
+        PROFILE_PRESETS["press"],
+        SweepConfig(step=step, seed=seed),
+        reader=defaults.reader_coil(),
+        bridge=defaults.bridge_config(),
+        sensor_inductance=inductance,
+        sensor_resistance=resistance + n_caps * defaults.CAPACITOR_ESR_OHM,
+        duration=duration,
+        disturb=DisturbanceModel(noise_sigma=defaults.NOISE_SIGMA_DB),
+    )
+
+
+def shifted(sweeps, offset):
+    return [Sweep(s.frequencies, s.magnitudes_db, s.timestamp + offset) for s in sweeps]
+
+
+class TestDetectStream:
+    def test_blocks_follow_grid_and_cap(self):
+        """Every sweep comes back once, in order, with the peaks it gets
+        alone, across block boundaries and grid changes."""
+        coarse = press_session(60e3, 1, 20.0)  # 100 frames: blocks of 80
+        fine = press_session(7.5e3, 2, 4.0)  # 20 frames: blocks of 10
+        assert len(coarse) > BLOCK_POINTS // 51
+        train = coarse[:50] + fine + coarse[50:]
+        out = list(detect_stream(iter(train)))
+        assert [s for s, _, _ in out] == train
+        for sweep, residual, peaks in out:
+            assert residual.shape == sweep.magnitudes_db.shape
+            assert peaks == detect_peaks(sweep)
+
+    def test_empty_stream(self):
+        assert list(detect_stream([])) == []
+
+    def test_grid_change_decodes_as_parts(self):
+        """A session whose grid changes mid-stream decodes to the events of
+        its parts decoded separately."""
+        press = PROFILE_PRESETS["press"]
+        first = press_session(60e3, 3, 24.0)
+        second = shifted(press_session(7.5e3, 4, 12.0), 24.0)
+        third = shifted(press_session(30e3, 5, 12.0), 36.0)
+        whole = decode_stream(first + second + third, press)
+        parts = [e for part in (first, second, third) for e in decode_stream(part, press)]
+        assert len(whole) == 2 * (6 + 3 + 3)
+        assert whole == parts
+
+    def test_scroll_grid_change_decodes_as_parts(self):
+        scroll = PROFILE_PRESETS["scroll"]
+        inductance, resistance, n_caps = defaults.TURN_TABLE[8]
+
+        def session(step, seed):
+            script = [(1.0, "reed-b"), (2.0, "reed-c"), (3.0, "reed-a")]
+            return scripted_session(
+                script,
+                scroll,
+                SweepConfig(step=step, seed=seed),
+                reader=defaults.reader_coil(),
+                bridge=defaults.bridge_config(),
+                sensor_inductance=inductance,
+                sensor_resistance=resistance + n_caps * defaults.CAPACITOR_ESR_OHM,
+                duration=5.0,
+            )
+
+        first, second = session(60e3, 6), shifted(session(7.5e3, 7), 5.0)
+        whole = decode_stream(first + second, scroll)
+        parts = decode_stream(first, scroll) + decode_stream(second, scroll)
+        assert [e.step for e in whole] == [1, 1, 1, 1, 1, 1]
+        assert whole == parts

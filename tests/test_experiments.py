@@ -9,7 +9,7 @@ import pytest
 
 from pitkit import defaults
 from pitkit.circuit import CoupledPair, capacitance_for_resonance
-from pitkit.detect import _masked_baseline
+from pitkit.detect import detect_block
 from pitkit.experiments import (
     EXPERIMENTS,
     ExperimentSpec,
@@ -18,13 +18,12 @@ from pitkit.experiments import (
     noiseless_peak,
     run_experiment,
     snr_vs_turns,
-    _sensor_coil,
 )
 from pitkit.synth import DisturbanceModel, SweepConfig, synthesize_sweep
 
 
 def default_pair(coupling=defaults.K_REFERENCE, turns=8):
-    return CoupledPair(defaults.reader_coil(), _sensor_coil(29e6, turns), coupling)
+    return CoupledPair(defaults.reader_coil(), defaults.ring_coil(29e6, turns), coupling)
 
 
 class TestExperimentSpec:
@@ -71,7 +70,7 @@ class TestCalibrateCoupling:
         the correction's own margin."""
         target = 12.0
         cfg = SweepConfig(seed=0)
-        sensor = _sensor_coil(28.0e6, 7)
+        sensor = defaults.ring_coil(28.0e6, 7)
         reader = defaults.reader_coil()
         bridge = defaults.bridge_config()
         k = calibrate_coupling(target, sensor, reader, bridge, cfg)
@@ -81,7 +80,7 @@ class TestCalibrateCoupling:
             bridge,
             DisturbanceModel(noise_sigma=0.0),
         )
-        residual = sweep.magnitudes_db - _masked_baseline(sweep, 5)
+        residual = detect_block(sweep.frequencies, sweep.magnitudes_db[None, :])[0][0]
         height = float(residual.max())
         assert height == pytest.approx(
             target * defaults.NOISE_SIGMA_DB, rel=0.35
@@ -90,7 +89,7 @@ class TestCalibrateCoupling:
 
     def test_higher_target_needs_stronger_coupling(self):
         cfg = SweepConfig(seed=0)
-        sensor = _sensor_coil(28.0e6, 7)
+        sensor = defaults.ring_coil(28.0e6, 7)
         reader = defaults.reader_coil()
         bridge = defaults.bridge_config()
         k_lo = calibrate_coupling(8.0, sensor, reader, bridge, cfg)
@@ -99,7 +98,7 @@ class TestCalibrateCoupling:
 
     def test_unreachable_target_raises(self):
         cfg = SweepConfig(seed=0)
-        sensor = _sensor_coil(28.0e6, 7)
+        sensor = defaults.ring_coil(28.0e6, 7)
         with pytest.raises(ValueError, match="unreachable"):
             calibrate_coupling(
                 1e6, sensor, defaults.reader_coil(), defaults.bridge_config(), cfg

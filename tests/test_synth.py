@@ -1,11 +1,13 @@
 """Frequency-sweep synthesis tests: grid construction, the static
 baseline, peak placement, disturbances, sessions and serialization."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pitkit import defaults
+from pitkit import defaults, synth
 from pitkit.circuit import CoilParams, CoupledPair, capacitance_for_resonance
 from pitkit.detect import DetectorConfig, detect_peaks, fit_baseline
 from pitkit.synth import (
@@ -69,6 +71,11 @@ class TestSweepValidation:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             Sweep(np.array([1.0, 2.0]), np.array([0.0, np.nan]))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_rejects_infinite_magnitudes(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Sweep(np.array([1.0, 2.0]), np.array([0.0, bad]))
 
     def test_arrays_are_read_only(self):
         sweep = Sweep(np.array([1.0, 2.0]), np.zeros(2))
@@ -325,3 +332,71 @@ class TestSerialization:
         path.write_text('{"not": "a session"}\n')
         with pytest.raises(DataFormatError):
             session_from_json(path)
+
+    def test_csv_rejects_infinite_magnitude(self, tmp_path):
+        path = tmp_path / "inf.csv"
+        path.write_text("frequency_hz,magnitude_db\n1.0,-55.0\n2.0,inf\n")
+        with pytest.raises(DataFormatError, match="finite"):
+            sweep_from_csv(path)
+
+    @pytest.mark.parametrize(
+        "timestamps",
+        [[0.0, float("nan")], [-0.2, 0.0], [0.4, 0.2], [0.0, float("inf")]],
+        ids=["nan", "negative", "decreasing", "infinite"],
+    )
+    def test_session_json_rejects_bad_timestamps(self, tmp_path, timestamps):
+        path = tmp_path / "bad.json"
+        records = [
+            {"timestamp_s": t, "frequencies_hz": [1.0, 2.0], "magnitudes_db": [0.0, 0.0]}
+            for t in timestamps
+        ]
+        # json.dumps writes NaN and Infinity, which json.load reads back
+        path.write_text(json.dumps(records))
+        with pytest.raises(DataFormatError, match="timestamp_s"):
+            session_from_json(path)
+
+    def test_session_json_accepts_repeated_timestamps(self, tmp_path):
+        path = tmp_path / "same.json"
+        records = [
+            {"timestamp_s": 0.2, "frequencies_hz": [1.0, 2.0], "magnitudes_db": [0.0, 0.0]}
+        ] * 2
+        path.write_text(json.dumps(records))
+        assert [s.timestamp for s in session_from_json(path)] == [0.2, 0.2]
+
+
+class TestGridMemo:
+    """Grid-only terms and drift phases are computed once and shared."""
+
+    def test_memoised_sweeps_bit_identical(self):
+        """A sweep on a warm cache equals one on a cold cache."""
+        cfg = SweepConfig(step=30e3, seed=4)
+        pair = default_pair(28.4e6)
+        bridge = defaults.bridge_config()
+        disturb = DisturbanceModel(amplitude_drift=0.01, frequency_drift=2e3)
+        warm = synthesize_sweep(cfg, pair, bridge, disturb, t=1.2)
+        synth._grid_terms.cache_clear()
+        synth._drift_phases.cache_clear()
+        cold = synthesize_sweep(cfg, pair, bridge, disturb, t=1.2)
+        assert np.array_equal(warm.magnitudes_db, cold.magnitudes_db)
+        assert np.array_equal(warm.frequencies, cold.frequencies)
+
+    def test_cached_arrays_are_read_only(self):
+        cfg = SweepConfig()
+        reader = defaults.reader_coil()
+        bridge = defaults.bridge_config()
+        synthesize_sweep(cfg, CoupledPair(reader, ring(29e6), 1e-3), bridge)
+        terms = synth._grid_terms(
+            cfg.start_frequency, cfg.stop_frequency, cfg.step, reader, bridge
+        )
+        for array in terms + (synth._drift_phases(cfg.seed),):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    def test_grid_shared_between_sweeps(self):
+        """Sweeps on one grid share one read-only frequency array."""
+        cfg = SweepConfig(seed=1)
+        a = synthesize_sweep(cfg, default_pair(), defaults.bridge_config(), t=0.0)
+        b = synthesize_sweep(cfg, default_pair(28e6), defaults.bridge_config(), t=0.2)
+        assert a.frequencies is b.frequencies
+        assert np.array_equal(a.frequencies, cfg.frequencies())
