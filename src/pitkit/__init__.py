@@ -43,7 +43,9 @@ from .synth import (
     SweepConfig,
     coupling_from_geometry,
     scripted_session,
+    synthesize_block,
     synthesize_sweep,
 )
+from .trace import SweepBlock
 
 __version__ = "0.1.0"

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .trace import Sweep
+from .trace import BLOCK_POINTS, Sweep, SweepBlock
 
 # Residual sigma is floored so noiseless traces report a finite SNR.
 _SIGMA_FLOOR = 1e-12
@@ -30,10 +30,6 @@ _SIGMA_FLOOR = 1e-12
 _MASK_SIGMA = 2.5
 _MASK_PASSES = 8
 _MASK_DILATION = 4
-# Most grid points (frames x points per frame) detected in one block: 80
-# frames on the 51-point grid, 10 on the 401-point grid.  The cap bounds
-# the memory each clipping pass holds in temporaries.
-BLOCK_POINTS = 4096
 
 
 @dataclass(frozen=True)
@@ -299,16 +295,29 @@ def _vertex_frequency(frequencies: np.ndarray, residual: np.ndarray, i: int) -> 
 def compute_snr(traces_with, traces_without, at_frequency: float) -> float:
     """(mean with-sensor - mean without-sensor) / std without-sensor,
     evaluated on the dB magnitudes at the grid point nearest
-    ``at_frequency``.  Standard deviation is the population form."""
-    traces_with = list(traces_with)
-    traces_without = list(traces_without)
-    if len(traces_with) < 2 or len(traces_without) < 2:
+    ``at_frequency``.  Standard deviation is the population form.
+
+    Each set is a ``SweepBlock`` or a sequence of sweeps on one grid; the
+    grid of the with-sensor set locates the point."""
+    grid, with_rows = _rows(traces_with)
+    _, without_rows = _rows(traces_without)
+    if len(with_rows) < 2 or len(without_rows) < 2:
         raise ValueError("need at least 2 traces in each set")
-    idx = traces_with[0].nearest_index(at_frequency)
-    vals_with = np.array([s.magnitudes_db[idx] for s in traces_with])
-    vals_without = np.array([s.magnitudes_db[idx] for s in traces_without])
+    idx = int(np.argmin(np.abs(grid - at_frequency)))
+    vals_with = with_rows[:, idx]
+    vals_without = without_rows[:, idx]
     std = float(vals_without.std())
     if std == 0.0:
         diff = float(vals_with.mean() - vals_without.mean())
         return math.inf if diff > 0 else (-math.inf if diff < 0 else 0.0)
     return float((vals_with.mean() - vals_without.mean()) / std)
+
+
+def _rows(traces) -> tuple:
+    """Grid (N,) and magnitudes (T, N) of a block or of a sequence of
+    sweeps; the grid is None for an empty sequence."""
+    if isinstance(traces, SweepBlock):
+        return traces.frequencies, traces.magnitudes_db
+    traces = list(traces)
+    grid = traces[0].frequencies if traces else None
+    return grid, np.array([s.magnitudes_db for s in traces])

@@ -5,10 +5,12 @@ coupling-vs-geometry law, analyzer noise, slow drift, and optional
 metal-proximity perturbations to produce traces the detector consumes.
 
 Generation is a pure function of (configs, seed, timestamp): the noise
-generator is re-seeded per call from (seed, timestamp), so sweeps can be
-produced in any order or in parallel and stay bit-identical.  The terms
-that depend only on the grid, reader and bridge, and the drift phases of
-each seed, are computed once and shared read-only between sweeps.
+generator is re-seeded per sweep from (seed, timestamp), so sweeps can
+be produced in any order, block or process and stay bit-identical.
+Sweeps are made in blocks on one grid (``synthesize_block``), where each
+distinct ring state is evaluated once.  The terms that depend only on
+the grid, reader and bridge, and the drift phases of each seed, are
+computed once and shared read-only between sweeps.
 """
 
 from __future__ import annotations
@@ -17,14 +19,16 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
 from .bridge import BridgeConfig, bridge_output, to_db_magnitude
 from .circuit import CoilParams, CoupledPair, capacitance_for_resonance, load_impedance, sensor_impedance
-from .decode import RingProfile
-from .trace import Sweep
+from .trace import BLOCK_POINTS, Sweep, SweepBlock
+
+if TYPE_CHECKING:
+    from .decode import RingProfile
 
 # Period of the slow sinusoidal wander used to realize drift rates.
 DRIFT_PERIOD_S = 10.0
@@ -125,14 +129,20 @@ def _drift_phases(seed: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
+def _grid(start: float, stop: float, step: float) -> tuple:
+    """Frequencies and normalized grid of one sweep grid, read-only."""
+    f = SweepConfig(start, stop, step).frequencies()
+    return _read_only(f, (f - f.mean()) / ((f[-1] - f[0]) / 2.0))
+
+
+@lru_cache(maxsize=32)
 def _grid_terms(
     start: float, stop: float, step: float, reader: CoilParams, bridge: BridgeConfig
 ) -> tuple:
     """Per-frame invariants of one (grid, reader, bridge): frequencies,
     normalized grid, reader impedance, unloaded bridge level and the
     static quadratic offset.  Computed once and returned read-only."""
-    f = SweepConfig(start, stop, step).frequencies()
-    x = (f - f.mean()) / ((f[-1] - f[0]) / 2.0)
+    f, x = _grid(start, stop, step)
     z_reader = sensor_impedance(reader, f)
     p_unloaded = to_db_magnitude(
         bridge_output(bridge, z_reader, z_reader), bridge.input_amplitude
@@ -141,7 +151,7 @@ def _grid_terms(
     # f carrying the magnitude of the unloaded bridge response.
     quad = np.polynomial.polynomial.polyfit(x, p_unloaded, 2)
     offset = np.polynomial.polynomial.polyval(x, quad)
-    return _read_only(f, x, z_reader, p_unloaded, offset)
+    return (f, x) + _read_only(z_reader, p_unloaded, offset)
 
 
 def _noise_rng(seed: int, t: float) -> np.random.Generator:
@@ -163,6 +173,83 @@ def _shifted_sensor(sensor: CoilParams, shift_hz: float) -> CoilParams:
     )
 
 
+def synthesize_block(
+    cfg: SweepConfig,
+    pairs: Sequence[CoupledPair],
+    bridge: BridgeConfig,
+    disturb: DisturbanceModel,
+    timestamps: Sequence[float],
+) -> SweepBlock:
+    """Analyzer sweeps on one grid, row i for ``pairs[i]`` at time
+    ``timestamps[i]``: bridge transfer magnitude in dB plus metal
+    baseline, drift, and per-point Gaussian noise.
+
+    The noise-free level runs through circuit, bridge and dB once per
+    distinct (pair, resonance shift) in the block and is shared by the
+    rows that have it; under frequency drift the shift moves with time,
+    so each row is its own.  Every row then adds the amplitude drift and
+    noise of its own timestamp, so a row does not depend on the block it
+    is synthesized in."""
+    times = [float(t) for t in timestamps]
+    if len(pairs) != len(times):
+        raise ValueError(f"{len(pairs)} pairs but {len(times)} timestamps")
+    f, x = _grid(cfg.start_frequency, cfg.stop_frequency, cfg.step)
+    phases = _drift_phases(cfg.seed)
+    metal = (
+        None
+        if disturb.metal_baseline is None
+        else np.polynomial.polynomial.polyval(x, np.asarray(disturb.metal_baseline, float))
+    )
+
+    levels: list[np.ndarray] = []
+    level_of: dict = {}
+    which = []
+    key = None
+    for pair, t in zip(pairs, times):
+        f0_shift = disturb.nearby_resonator_shift
+        if disturb.frequency_drift > 0.0:
+            f0_shift += (
+                disturb.frequency_drift
+                * DRIFT_PERIOD_S
+                / (2.0 * math.pi)
+                * math.sin(2.0 * math.pi * t / DRIFT_PERIOD_S + phases[3])
+            )
+        # rows come in runs of one state, so most rows match the last key
+        # by identity and skip hashing the pair
+        if key is not None and pair is key[0] and f0_shift == key[1]:
+            which.append(which[-1])
+            continue
+        key = (pair, f0_shift)
+        if key not in level_of:
+            level_of[key] = len(levels)
+            _, _, z_reader, p_unloaded, offset = _grid_terms(
+                cfg.start_frequency, cfg.stop_frequency, cfg.step, pair.reader, bridge
+            )
+            pair_t = CoupledPair(pair.reader, _shifted_sensor(pair.sensor, f0_shift), pair.coupling)
+            z_load = load_impedance(pair_t, f)
+            p_loaded = to_db_magnitude(
+                bridge_output(bridge, z_load, z_reader), bridge.input_amplitude
+            )
+            # The sensor's reflected signature rides on the static offset
+            # as the exact loaded/unloaded level difference.
+            level = offset + (p_loaded - p_unloaded)
+            levels.append(level if metal is None else level + metal)
+        which.append(level_of[key])
+    p = np.array(levels).reshape(len(levels), len(f))[np.array(which, dtype=np.intp)]
+
+    if disturb.amplitude_drift > 0.0:
+        amp = disturb.amplitude_drift * DRIFT_PERIOD_S / (2.0 * math.pi)
+        t = np.array(times)[:, None]
+        coeffs = amp * np.sin(2.0 * math.pi * t / DRIFT_PERIOD_S + phases[:3])
+        p += np.polynomial.polynomial.polyval(x, coeffs.T)
+
+    if disturb.noise_sigma > 0.0:
+        for row, t in zip(p, times):
+            row += _noise_rng(cfg.seed, t).normal(0.0, disturb.noise_sigma, size=len(f))
+
+    return SweepBlock(f, p, times)
+
+
 def synthesize_sweep(
     cfg: SweepConfig,
     pair: CoupledPair,
@@ -170,42 +257,9 @@ def synthesize_sweep(
     disturb: DisturbanceModel = DisturbanceModel(),
     t: float = 0.0,
 ) -> Sweep:
-    """One analyzer sweep at time ``t``: bridge transfer magnitude in dB
-    plus metal baseline, drift, and per-point Gaussian noise."""
-    f, x, z_reader, p_unloaded, offset = _grid_terms(
-        cfg.start_frequency, cfg.stop_frequency, cfg.step, pair.reader, bridge
-    )
-    phases = _drift_phases(cfg.seed)
-
-    f0_shift = disturb.nearby_resonator_shift
-    if disturb.frequency_drift > 0.0:
-        f0_shift += (
-            disturb.frequency_drift
-            * DRIFT_PERIOD_S
-            / (2.0 * math.pi)
-            * math.sin(2.0 * math.pi * t / DRIFT_PERIOD_S + phases[3])
-        )
-    pair_t = CoupledPair(pair.reader, _shifted_sensor(pair.sensor, f0_shift), pair.coupling)
-
-    z_load = load_impedance(pair_t, f)
-    p_loaded = to_db_magnitude(bridge_output(bridge, z_load, z_reader), bridge.input_amplitude)
-
-    # The sensor's reflected signature rides on the static offset as the
-    # exact loaded/unloaded level difference.
-    p = offset + (p_loaded - p_unloaded)
-
-    if disturb.metal_baseline is not None:
-        p = p + np.polynomial.polynomial.polyval(x, np.asarray(disturb.metal_baseline, float))
-
-    if disturb.amplitude_drift > 0.0:
-        amp = disturb.amplitude_drift * DRIFT_PERIOD_S / (2.0 * math.pi)
-        coeffs = amp * np.sin(2.0 * math.pi * t / DRIFT_PERIOD_S + phases[:3])
-        p = p + np.polynomial.polynomial.polyval(x, coeffs)
-
-    if disturb.noise_sigma > 0.0:
-        p = p + _noise_rng(cfg.seed, t).normal(0.0, disturb.noise_sigma, size=len(f))
-
-    return Sweep(f, p, timestamp=t)
+    """One analyzer sweep at time ``t``: the one-row ``synthesize_block``."""
+    (sweep,) = synthesize_block(cfg, (pair,), bridge, disturb, (t,))
+    return sweep
 
 
 def scripted_session(
@@ -225,7 +279,9 @@ def scripted_session(
 
     ``events`` is a list of (time_s, state_label); the ring idles in the
     profile's first state until the first event.  ``scene_timeline`` is
-    either one geometry or a list of (time_s, GeometryScenario).
+    either one geometry or a list of (time_s, GeometryScenario).  The
+    train is synthesized in blocks of at most ``BLOCK_POINTS`` grid
+    points.
     """
     events = sorted(events, key=lambda e: e[0])
     for _, label in events:
@@ -236,27 +292,37 @@ def scripted_session(
     scene_timeline = sorted(scene_timeline, key=lambda e: e[0])
 
     frame_count = int(round(duration * cfg.acquisition_rate))
-    sweeps = []
+    times = [i / cfg.acquisition_rate for i in range(frame_count)]
+    pairs = []
+    pair_of: dict = {}
     state = profile.states[0].label
     ei = 0
     si = 0
     scene = scene_timeline[0][1]
-    for i in range(frame_count):
-        t = i / cfg.acquisition_rate
+    for t in times:
         while ei < len(events) and events[ei][0] <= t:
             state = events[ei][1]
             ei += 1
         while si < len(scene_timeline) and scene_timeline[si][0] <= t:
             scene = scene_timeline[si][1]
             si += 1
-        f0 = profile.frequency_of(state)
-        sensor = CoilParams(
-            inductance=sensor_inductance,
-            resistance=sensor_resistance,
-            capacitance=capacitance_for_resonance(sensor_inductance, f0),
+        if (state, scene) not in pair_of:
+            sensor = CoilParams(
+                inductance=sensor_inductance,
+                resistance=sensor_resistance,
+                capacitance=capacitance_for_resonance(
+                    sensor_inductance, profile.frequency_of(state)
+                ),
+            )
+            pair_of[state, scene] = CoupledPair(reader, sensor, coupling_from_geometry(scene))
+        pairs.append(pair_of[state, scene])
+
+    rows = max(1, BLOCK_POINTS // cfg.point_count)
+    sweeps: list[Sweep] = []
+    for i in range(0, frame_count, rows):
+        sweeps.extend(
+            synthesize_block(cfg, pairs[i : i + rows], bridge, disturb, times[i : i + rows])
         )
-        pair = CoupledPair(reader, sensor, coupling_from_geometry(scene))
-        sweeps.append(synthesize_sweep(cfg, pair, bridge, disturb, t=t))
     return sweeps
 
 

@@ -1,10 +1,42 @@
-"""Swept-magnitude trace type shared by the synthesizer and detector."""
+"""Swept-magnitude trace types shared by the synthesizer and detector.
+
+A ``Sweep`` is one analyzer acquisition.  A ``SweepBlock`` is T
+acquisitions on one shared grid, validated once as a whole; iterating
+it yields its rows as ``Sweep`` views that are not validated again.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+
+# Most grid points (frames x points per frame) in one block of a sweep
+# train: 80 frames on the 51-point grid, 10 on the 401-point grid.  The
+# cap bounds the memory that synthesis and each clipping pass of
+# detection hold in temporaries.
+BLOCK_POINTS = 4096
+
+
+def _checked(frequencies, magnitudes, ndim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Grid (N,) and magnitudes (N,) or (T, N) as read-only float arrays,
+    after the checks every trace passes."""
+    f = np.asarray(frequencies, dtype=float)
+    m = np.asarray(magnitudes, dtype=float)
+    if f.ndim != 1 or m.ndim != ndim or m.shape[-1:] != f.shape:
+        shape = "(N,)" if ndim == 1 else "(T, N)"
+        raise ValueError(
+            f"frequencies must be (N,) and magnitudes {shape}, got {f.shape} and {m.shape}"
+        )
+    if (f[1:] <= f[:-1]).any():
+        raise ValueError("frequencies must be strictly increasing")
+    if not np.isfinite(f).all():
+        raise ValueError("frequencies must be finite")
+    if not np.isfinite(m).all():
+        raise ValueError("magnitudes must be finite (no NaN or inf)")
+    f.flags.writeable = False
+    m.flags.writeable = False
+    return f, m
 
 
 @dataclass(frozen=True)
@@ -16,20 +48,43 @@ class Sweep:
     timestamp: float = 0.0
 
     def __post_init__(self) -> None:
-        f = np.asarray(self.frequencies, dtype=float)
-        m = np.asarray(self.magnitudes_db, dtype=float)
-        if f.ndim != 1 or m.shape != f.shape:
-            raise ValueError("frequencies and magnitudes must be 1-D, equal length")
-        if len(f) and np.any(np.diff(f) <= 0):
-            raise ValueError("frequencies must be strictly increasing")
-        if not np.all(np.isfinite(f)):
-            raise ValueError("frequencies must be finite")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("magnitudes must be finite (no NaN or inf)")
-        f.flags.writeable = False
-        m.flags.writeable = False
+        f, m = _checked(self.frequencies, self.magnitudes_db, 1)
         object.__setattr__(self, "frequencies", f)
         object.__setattr__(self, "magnitudes_db", m)
 
     def nearest_index(self, frequency: float) -> int:
         return int(np.argmin(np.abs(self.frequencies - frequency)))
+
+
+@dataclass(frozen=True)
+class SweepBlock:
+    """T analyzer acquisitions on one grid: frequencies (N,), dB
+    magnitudes (T, N) and timestamps (T,) in time order."""
+
+    frequencies: np.ndarray
+    magnitudes_db: np.ndarray
+    timestamps: np.ndarray
+
+    def __post_init__(self) -> None:
+        f, m = _checked(self.frequencies, self.magnitudes_db, 2)
+        t = np.asarray(self.timestamps, dtype=float)
+        if t.shape != m.shape[:1]:
+            raise ValueError(f"timestamps must be ({len(m)},), got {t.shape}")
+        if not np.isfinite(t).all() or (t[1:] < t[:-1]).any():
+            raise ValueError("timestamps must be finite and non-decreasing")
+        t.flags.writeable = False
+        object.__setattr__(self, "frequencies", f)
+        object.__setattr__(self, "magnitudes_db", m)
+        object.__setattr__(self, "timestamps", t)
+
+    def __len__(self) -> int:
+        return len(self.magnitudes_db)
+
+    def __iter__(self):
+        """The rows, as sweeps sharing this block's grid and memory."""
+        for m, t in zip(self.magnitudes_db, self.timestamps.tolist()):
+            row = object.__new__(Sweep)
+            object.__setattr__(row, "frequencies", self.frequencies)
+            object.__setattr__(row, "magnitudes_db", m)
+            object.__setattr__(row, "timestamp", t)
+            yield row

@@ -9,14 +9,17 @@ import pytest
 
 from pitkit import defaults
 from pitkit.circuit import CoupledPair, capacitance_for_resonance
-from pitkit.detect import detect_block
+from pitkit.decode import PRESS_PROFILE, foreign_resonator
+from pitkit.detect import compute_snr, detect_block, detect_peaks
 from pitkit.experiments import (
     EXPERIMENTS,
+    METAL_PRESETS,
     ExperimentSpec,
     calibrate_coupling,
     measure_snr,
     noiseless_peak,
     run_experiment,
+    snr_vs_metal,
     snr_vs_turns,
 )
 from pitkit.synth import DisturbanceModel, SweepConfig, synthesize_sweep
@@ -54,6 +57,25 @@ class TestMeasureSnr:
             DisturbanceModel(noise_sigma=defaults.NOISE_SIGMA_DB),
         )
         assert 12.0 <= snr <= 28.0
+
+    @pytest.mark.parametrize("disturb", [
+        DisturbanceModel(noise_sigma=defaults.NOISE_SIGMA_DB),
+        METAL_PRESETS["microwave-oven"],
+        DisturbanceModel(noise_sigma=0.003, frequency_drift=2e3, amplitude_drift=0.01),
+    ], ids=["stock", "metal", "drift"])
+    def test_equals_per_frame_reference(self, disturb):
+        """Block synthesis gives the SNR of 2 x 100 sweeps synthesized and
+        evaluated one at a time."""
+        pair = default_pair(7e-4)
+        bridge = defaults.bridge_config()
+        cfg = SweepConfig(seed=5)
+        at_frequency, _ = noiseless_peak(pair, bridge, cfg, disturb)
+        off = CoupledPair(pair.reader, pair.sensor, 0.0)
+        times = [i / 5.0 for i in range(200)]
+        with_sensor = [synthesize_sweep(cfg, pair, bridge, disturb, t) for t in times[:100]]
+        without = [synthesize_sweep(cfg, off, bridge, disturb, t) for t in times[100:]]
+        expected = compute_snr(with_sensor, without, at_frequency)
+        assert measure_snr(pair, bridge, cfg, disturb) == expected
 
     def test_snr_increases_with_coupling(self):
         bridge = defaults.bridge_config()
@@ -112,6 +134,30 @@ class TestSnrVsTurns:
         assert [r[0] for r in rows] == sorted(defaults.TURN_TABLE)
         assert summary["monotone_3_to_7"] is True
         assert summary["plateau_7_to_9_change"] <= 0.10
+
+
+class TestSnrVsMetal:
+    def test_frame_loop_equals_per_frame_reference(self):
+        """Detection and foreign-resonator rates from one block per trial
+        equal those of frames synthesized and detected one at a time."""
+        trials, seed, n_frames = 2, 4, 20
+        _, rows, _ = snr_vs_metal(trials, seed)
+        pair = default_pair()
+        bridge = defaults.bridge_config()
+        for (name, *_, detection_rate, foreign_rate), (preset, disturb) in zip(
+            rows, METAL_PRESETS.items()
+        ):
+            assert name == preset
+            peak_f, _ = noiseless_peak(pair, bridge, SweepConfig(seed=seed), disturb)
+            detections = foreign = 0
+            for trial in range(trials):
+                cfg = SweepConfig(seed=seed + trial)
+                for i in range(n_frames):
+                    peaks = detect_peaks(synthesize_sweep(cfg, pair, bridge, disturb, t=i / 5.0))
+                    detections += any(abs(p.peak_frequency - peak_f) <= 2 * cfg.step for p in peaks)
+                    foreign += bool(foreign_resonator(peaks, PRESS_PROFILE))
+            assert detection_rate == detections / (trials * n_frames)
+            assert foreign_rate == foreign / (trials * n_frames)
 
 
 class TestRunExperiment:

@@ -1,14 +1,18 @@
 """Frequency-sweep synthesis tests: grid construction, the static
 baseline, peak placement, disturbances, sessions and serialization."""
 
+import ast
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pitkit import defaults, synth
-from pitkit.circuit import CoilParams, CoupledPair, capacitance_for_resonance
+from pitkit.bridge import bridge_output, to_db_magnitude
+from pitkit.circuit import CoilParams, CoupledPair, capacitance_for_resonance, load_impedance
 from pitkit.detect import DetectorConfig, detect_peaks, fit_baseline
 from pitkit.synth import (
     DataFormatError,
@@ -21,9 +25,10 @@ from pitkit.synth import (
     session_to_json,
     sweep_from_csv,
     sweep_to_csv,
+    synthesize_block,
     synthesize_sweep,
 )
-from pitkit.trace import Sweep
+from pitkit.trace import Sweep, SweepBlock
 
 QUIET = DisturbanceModel(noise_sigma=0.0)
 
@@ -400,3 +405,204 @@ class TestGridMemo:
         b = synthesize_sweep(cfg, default_pair(28e6), defaults.bridge_config(), t=0.2)
         assert a.frequencies is b.frequencies
         assert np.array_equal(a.frequencies, cfg.frequencies())
+
+
+def reference_sweep(cfg, pair, bridge, disturb, t):
+    """Per-frame reference synthesis: circuit, bridge and every
+    disturbance evaluated for one sweep alone, adding the terms in the
+    order the block path must reproduce."""
+    f, x, z_reader, p_unloaded, offset = synth._grid_terms(
+        cfg.start_frequency, cfg.stop_frequency, cfg.step, pair.reader, bridge
+    )
+    phases = synth._drift_phases(cfg.seed)
+    f0_shift = disturb.nearby_resonator_shift
+    if disturb.frequency_drift > 0.0:
+        f0_shift += (
+            disturb.frequency_drift
+            * synth.DRIFT_PERIOD_S
+            / (2.0 * math.pi)
+            * math.sin(2.0 * math.pi * t / synth.DRIFT_PERIOD_S + phases[3])
+        )
+    pair_t = CoupledPair(pair.reader, synth._shifted_sensor(pair.sensor, f0_shift), pair.coupling)
+    z_load = load_impedance(pair_t, f)
+    p_loaded = to_db_magnitude(bridge_output(bridge, z_load, z_reader), bridge.input_amplitude)
+    p = offset + (p_loaded - p_unloaded)
+    if disturb.metal_baseline is not None:
+        p = p + np.polynomial.polynomial.polyval(x, np.asarray(disturb.metal_baseline, float))
+    if disturb.amplitude_drift > 0.0:
+        amp = disturb.amplitude_drift * synth.DRIFT_PERIOD_S / (2.0 * math.pi)
+        coeffs = amp * np.sin(2.0 * math.pi * t / synth.DRIFT_PERIOD_S + phases[:3])
+        p = p + np.polynomial.polynomial.polyval(x, coeffs)
+    if disturb.noise_sigma > 0.0:
+        p = p + synth._noise_rng(cfg.seed, t).normal(0.0, disturb.noise_sigma, size=len(f))
+    return p
+
+
+PAIR_POOL = [
+    default_pair(29.0e6, 1e-3),
+    default_pair(27.6e6, 2e-3),
+    default_pair(29.0e6, 0.0),
+    CoupledPair(defaults.reader_coil(), ring(28.4e6, turns=3), 5e-4),
+]
+
+
+@st.composite
+def blocks(draw):
+    points = draw(st.integers(10, 401))
+    step = draw(st.sampled_from([7.5e3, 30e3, 60e3]))
+    cfg = SweepConfig(27e6, 27e6 + step * (points - 1), step, seed=draw(st.integers(0, 2**32 - 1)))
+    disturb = DisturbanceModel(
+        noise_sigma=draw(st.sampled_from([0.0, 0.002, 0.01])),
+        amplitude_drift=draw(st.sampled_from([0.0, 0.01])),
+        frequency_drift=draw(st.sampled_from([0.0, 2e3, 50e3])),
+        metal_baseline=draw(st.sampled_from([None, (0.5, -0.3, 0.8), (1.0, 0.5, 1.2, -0.2)])),
+        nearby_resonator_shift=draw(st.sampled_from([0.0, 400e3, -150e3])),
+    )
+    rows = draw(st.sampled_from([0, 1, 2, 7, 100, 130]))
+    # runs of repeated pairs, as in a session, mixed with distinct ones
+    pairs = []
+    while len(pairs) < rows:
+        pairs += [PAIR_POOL[draw(st.integers(0, len(PAIR_POOL) - 1))]] * draw(st.integers(1, 40))
+    pairs = pairs[:rows]
+    start = draw(st.floats(0.0, 100.0))
+    gaps = draw(st.lists(st.sampled_from([0.0, 0.2, 0.05, 1.3]), min_size=rows, max_size=rows))
+    times = start + np.cumsum(gaps)
+    return cfg, pairs, disturb, [float(t) for t in times]
+
+
+class TestSynthesizeBlock:
+    @settings(max_examples=60, deadline=None)
+    @given(blocks())
+    def test_rows_bit_identical_to_per_frame_synthesis(self, case):
+        cfg, pairs, disturb, times = case
+        bridge = defaults.bridge_config()
+        block = synthesize_block(cfg, pairs, bridge, disturb, times)
+        assert block.magnitudes_db.shape == (len(pairs), cfg.point_count)
+        assert list(block.timestamps) == times
+        for row, pair, t in zip(block, pairs, times):
+            assert np.array_equal(row.magnitudes_db, reference_sweep(cfg, pair, bridge, disturb, t))
+            one = synthesize_sweep(cfg, pair, bridge, disturb, t)
+            assert np.array_equal(row.magnitudes_db, one.magnitudes_db)
+            assert row.timestamp == t and type(row.timestamp) is float
+            assert row.frequencies is block.frequencies
+
+    def test_rows_are_read_only_views(self):
+        block = synthesize_block(
+            SweepConfig(), [default_pair()] * 3, defaults.bridge_config(), QUIET, [0.0, 0.2, 0.4]
+        )
+        for row in block:
+            assert not row.magnitudes_db.flags.writeable
+            assert np.shares_memory(row.magnitudes_db, block.magnitudes_db)
+
+    def test_one_timestamp_per_pair(self):
+        pairs = [default_pair()] * 2
+        with pytest.raises(ValueError, match="timestamps"):
+            synthesize_block(SweepConfig(), pairs, defaults.bridge_config(), QUIET, [0.0])
+
+    def test_session_equals_per_frame_synthesis_across_blocks(self):
+        """A 401-point session spans several blocks of 10 rows; every
+        frame equals its per-frame synthesis."""
+        from pitkit.decode import PROFILE_PRESETS
+
+        profile = PROFILE_PRESETS["slide"]
+        cfg = SweepConfig(step=7.5e3, seed=3)
+        inductance, resistance, _ = defaults.TURN_TABLE[8]
+        reader, bridge = defaults.reader_coil(), defaults.bridge_config()
+        events = [(0.6, "left-2mm"), (2.2, "idle"), (3.0, "right-2mm")]
+        sweeps = scripted_session(
+            events, profile, cfg, reader=reader, bridge=bridge,
+            sensor_inductance=inductance, sensor_resistance=resistance, duration=5.0,
+        )
+        assert len(sweeps) == 25
+        labels = ["idle"] * 3 + ["left-2mm"] * 8 + ["idle"] * 4 + ["right-2mm"] * 10
+        for i, (sweep, label) in enumerate(zip(sweeps, labels)):
+            capacitance = capacitance_for_resonance(inductance, profile.frequency_of(label))
+            pair = CoupledPair(reader, CoilParams(inductance, resistance, capacitance), 1e-3)
+            expected = reference_sweep(cfg, pair, bridge, DisturbanceModel(), i / 5.0)
+            assert np.array_equal(sweep.magnitudes_db, expected)
+            assert sweep.timestamp == i / 5.0
+
+
+GRID = np.linspace(27e6, 30e6, 51)
+
+
+class TestSweepBlockValidation:
+    def block(self, magnitudes=None, frequencies=GRID, timestamps=(0.0, 0.2)):
+        if magnitudes is None:
+            magnitudes = np.zeros((len(timestamps), len(frequencies)))
+        return SweepBlock(frequencies, magnitudes, timestamps)
+
+    @pytest.mark.parametrize("shape", [(2,), (2, 50), (2, 51, 1)])
+    def test_rejects_wrong_magnitude_shape(self, shape):
+        with pytest.raises(ValueError, match="magnitudes"):
+            self.block(np.zeros(shape))
+
+    def test_rejects_wrong_timestamp_count(self):
+        with pytest.raises(ValueError, match="timestamps"):
+            self.block(np.zeros((3, 51)))
+
+    def test_rejects_2d_grid(self):
+        with pytest.raises(ValueError):
+            self.block(np.zeros((2, 51)), frequencies=np.zeros((1, 51)))
+
+    @pytest.mark.parametrize(
+        "grid", [GRID[::-1], np.r_[GRID[:10], GRID[9:49]]], ids=["reversed", "repeated"]
+    )
+    def test_rejects_grid_that_does_not_increase(self, grid):
+        with pytest.raises(ValueError, match="increasing"):
+            self.block(frequencies=grid)
+
+    def test_rejects_non_finite_grid(self):
+        with pytest.raises(ValueError, match="finite"):
+            self.block(frequencies=np.r_[GRID[:-1], np.inf])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_magnitudes(self, bad):
+        magnitudes = np.zeros((2, 51))
+        magnitudes[1, 7] = bad
+        with pytest.raises(ValueError, match="finite"):
+            self.block(magnitudes)
+
+    @pytest.mark.parametrize(
+        "times", [(0.4, 0.2), (0.0, np.nan), (0.0, np.inf)], ids=["decreasing", "nan", "inf"]
+    )
+    def test_rejects_bad_timestamps(self, times):
+        with pytest.raises(ValueError, match="timestamps"):
+            self.block(timestamps=times)
+
+    def test_accepts_equal_timestamps_and_no_rows(self):
+        assert len(self.block(timestamps=(0.2, 0.2))) == 2
+        empty = self.block(timestamps=())
+        assert len(empty) == 0 and list(empty) == []
+
+    def test_arrays_are_read_only(self):
+        block = self.block()
+        for array in (block.frequencies, block.magnitudes_db, block.timestamps):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
+
+def test_synth_does_not_import_decode_at_run_time():
+    """synth sits below decode: it may name decode's types only under
+    TYPE_CHECKING."""
+    tree = ast.parse(Path(synth.__file__).read_text())
+    type_only = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.If) and ast.unparse(node.test).endswith("TYPE_CHECKING"):
+            type_only.update(id(n) for n in ast.walk(node))
+    offending = [
+        node.lineno
+        for node in ast.walk(tree)
+        if id(node) not in type_only
+        and (
+            (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "decode")
+            or (isinstance(node, ast.ImportFrom) and node.level and node.module is None
+                and any(a.name == "decode" for a in node.names))
+            or (
+                isinstance(node, ast.Import)
+                and any(a.name.split(".")[-1] == "decode" for a in node.names)
+            )
+        )
+    ]
+    assert offending == [], f"run-time import of decode at synth.py lines {offending}"
