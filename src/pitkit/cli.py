@@ -65,8 +65,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("detect", help="print peak reports for a sweep CSV")
     p.add_argument("sweep", help="sweep CSV path")
-    p.add_argument("--baseline-order", type=int, default=defaults.BASELINE_ORDER)
-    p.add_argument("--threshold", type=float, default=defaults.PEAK_THRESHOLD_DB)
+    p.add_argument("--baseline-order", type=int, default=DetectorConfig.baseline_order)
+    p.add_argument("--threshold", type=float, default=DetectorConfig.peak_threshold)
 
     p = sub.add_parser("decode", help="decode a session JSON into input events")
     p.add_argument("--session", required=True)
@@ -126,11 +126,11 @@ def _sweep_config(seed: int) -> SweepConfig:
         raise DataFormatError(f"{path}: expected a JSON object of sweep-grid settings")
     try:
         return SweepConfig(
-            start_frequency=float(raw.get("start_frequency_hz", defaults.SWEEP_START_HZ)),
-            stop_frequency=float(raw.get("stop_frequency_hz", defaults.SWEEP_STOP_HZ)),
-            step=float(raw.get("step_hz", defaults.SWEEP_STEP_HZ)),
+            start_frequency=float(raw.get("start_frequency_hz", SweepConfig.start_frequency)),
+            stop_frequency=float(raw.get("stop_frequency_hz", SweepConfig.stop_frequency)),
+            step=float(raw.get("step_hz", SweepConfig.step)),
             acquisition_rate=float(
-                raw.get("acquisition_rate_fps", defaults.ACQUISITION_RATE_FPS)
+                raw.get("acquisition_rate_fps", SweepConfig.acquisition_rate)
             ),
             seed=seed,
         )
@@ -143,9 +143,10 @@ def _cmd_synth(args) -> int:
     disturb = DisturbanceModel(noise_sigma=args.noise_sigma)
     reader = defaults.reader_coil()
     bridge = defaults.bridge_config()
+    sensor = defaults.ring_coil(args.f0, args.turns)
 
     if args.events is None:
-        pair = CoupledPair(reader, defaults.ring_coil(args.f0, args.turns), args.coupling)
+        pair = CoupledPair(reader, sensor, args.coupling)
         sweep = synthesize_sweep(cfg, pair, bridge, disturb, t=args.time)
         sweep_to_csv(sweep, args.output)
         return 0
@@ -160,15 +161,14 @@ def _cmd_synth(args) -> int:
     duration = args.duration
     if duration is None:
         duration = (max((t for t, _ in events), default=0.0)) + 2.0
-    inductance, resistance, n_caps = defaults.TURN_TABLE[args.turns]
     sweeps = scripted_session(
         events,
         profile,
         cfg,
         reader=reader,
         bridge=bridge,
-        sensor_inductance=inductance,
-        sensor_resistance=resistance + n_caps * defaults.CAPACITOR_ESR_OHM,
+        sensor_inductance=sensor.inductance,
+        sensor_resistance=sensor.resistance,
         duration=duration,
         disturb=disturb,
     )

@@ -121,7 +121,6 @@ class InputEvent:
 @dataclass(frozen=True)
 class DebounceConfig:
     confirm_frames: int = 2
-    idle_label: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.confirm_frames < 1:
@@ -283,7 +282,7 @@ def decode_stream(
     Detection runs on blocks of consecutive sweeps that share a grid
     (see ``detect_stream``); the debouncer then steps frame by frame.
     """
-    idle = deb.idle_label or profile.idle_label
+    idle = profile.idle_label
     if profile.kind == "scroll":
         return _decode_scroll_stream(sweeps, profile, det, deb)
 

@@ -1,7 +1,8 @@
 """Default constants for the reader/ring chain.
 
-Everything tunable lives here so experiments and the CLI share one set
-of calibrated values.
+Experiments and the CLI share this one set of calibrated values.  The
+sweep-grid and detector defaults are the field defaults of
+``SweepConfig`` and ``DetectorConfig``.
 """
 
 from __future__ import annotations
@@ -9,18 +10,8 @@ from __future__ import annotations
 from .bridge import V_IN_1MW_50OHM, BridgeConfig
 from .circuit import CoilParams, capacitance_for_resonance
 
-# Sweep grid: 27-30 MHz in 60 kHz steps, 5 sweeps/s.
-SWEEP_START_HZ = 27e6
-SWEEP_STOP_HZ = 30e6
-SWEEP_STEP_HZ = 60e3
-ACQUISITION_RATE_FPS = 5.0
-
 # Measurement noise: per-point dB RMS of the analyzer.
 NOISE_SIGMA_DB = 0.002
-
-# Detection: peak threshold 10x the noise floor, degree-5 baseline.
-PEAK_THRESHOLD_DB = 0.02
-BASELINE_ORDER = 5
 
 # Reader (wristband) coil: 6 turns, tuned at 27 MHz, 55 ohm total series
 # resistance including the series matching resistor.

@@ -32,6 +32,7 @@ _MASK_PASSES = 8
 _MASK_DILATION = 4
 
 
+# Peak threshold 10x the analyzer noise floor, degree-5 baseline.
 @dataclass(frozen=True)
 class DetectorConfig:
     baseline_order: int = 5

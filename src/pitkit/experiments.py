@@ -9,7 +9,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -26,15 +27,6 @@ from .synth import (
     scripted_session,
     synthesize_block,
     synthesize_sweep,
-)
-
-EXPERIMENTS = (
-    "snr-vs-turns",
-    "snr-vs-frequency",
-    "snr-vs-distance",
-    "snr-vs-angle",
-    "snr-vs-metal",
-    "press-accuracy",
 )
 
 SNR_TRACE_COUNT = 100
@@ -172,77 +164,85 @@ def calibrate_coupling(
 
 
 # ---------------------------------------------------------------------------
-# individual experiments; each returns (header, rows, summary)
+# SNR studies: one table entry per study, all run by ``run_snr_study``
+
+# Sweep grids of the study points; each trial sets its own seed.  The
+# wide grid spans beyond the operating band so out-of-band resonances
+# are still visible to the analyzer model.
+DEFAULT_GRID = SweepConfig()
+WIDE_GRID = SweepConfig(18e6, 42e6, 60e3)
+STOCK_NOISE = DisturbanceModel(noise_sigma=defaults.NOISE_SIGMA_DB)
+METAL_FRAMES = 20
 
 
-def _snr_stats(snrs: list[float]) -> tuple[float, float]:
-    arr = np.asarray(snrs)
-    return float(arr.mean()), float(arr.std())
+@dataclass(frozen=True)
+class SnrStudy:
+    """One SNR study.
+
+    ``points(reader)`` yields one (key values, pair, sweep grid,
+    disturbance) per row.  A row of the result is its key values under
+    ``key_columns``, the SNR mean and population std over the trials,
+    then ``extra(pair, bridge, grid, disturb, trials, seed)`` under
+    ``extra_columns``.  ``summarize(rows)`` gives the summary."""
+
+    key_columns: tuple[str, ...]
+    points: Callable[[CoilParams], Iterator[tuple]]
+    summarize: Callable[[list], dict]
+    extra_columns: tuple[str, ...] = ()
+    extra: Optional[Callable[..., list]] = None
 
 
-def snr_vs_turns(trials: int, seed: int):
+def run_snr_study(study: SnrStudy, trials: int, seed: int):
+    """(header, rows, summary) of one SNR study: each point measured by
+    ``measure_snr`` once per trial, on the point's grid at seed
+    ``seed + trial``."""
     reader = defaults.reader_coil()
     bridge = defaults.bridge_config()
-    disturb = DisturbanceModel(noise_sigma=defaults.NOISE_SIGMA_DB)
     rows = []
-    by_turn = {}
+    for key, pair, grid, disturb in study.points(reader):
+        snrs = np.asarray([
+            measure_snr(pair, bridge, replace(grid, seed=seed + trial), disturb)
+            for trial in range(trials)
+        ])
+        row = [*key, float(snrs.mean()), float(snrs.std())]
+        if study.extra is not None:
+            row += study.extra(pair, bridge, grid, disturb, trials, seed)
+        rows.append(row)
+    header = [*study.key_columns, "snr_mean", "snr_std", *study.extra_columns]
+    return header, rows, study.summarize(rows)
+
+
+def _turns_points(reader: CoilParams) -> Iterator[tuple]:
     for turns in sorted(defaults.TURN_TABLE):
         sensor = defaults.ring_coil(29e6, turns)
         pair = CoupledPair(reader, sensor, defaults.K_REFERENCE)
-        snrs = []
-        for trial in range(trials):
-            cfg = SweepConfig(seed=seed + trial)
-            snrs.append(measure_snr(pair, bridge, cfg, disturb))
-        mean, std = _snr_stats(snrs)
-        by_turn[turns] = mean
-        rows.append(
-            [turns, sensor.inductance, sensor.resistance, mean, std]
-        )
-    summary = {
+        yield (turns, sensor.inductance, sensor.resistance), pair, DEFAULT_GRID, STOCK_NOISE
+
+
+def _turns_summary(rows: list) -> dict:
+    by_turn = {turns: mean for turns, _, _, mean, _ in rows}
+    plateau = [by_turn[n] for n in (7, 8, 9)]
+    return {
         "snr_by_turns": by_turn,
-        "monotone_3_to_7": all(
-            by_turn[n] < by_turn[n + 1] for n in range(3, 7)
-        ),
-        "plateau_7_to_9_change": (
-            max(by_turn[n] for n in (7, 8, 9)) - min(by_turn[n] for n in (7, 8, 9))
-        )
-        / max(by_turn[n] for n in (7, 8, 9)),
+        "monotone_3_to_7": all(by_turn[n] < by_turn[n + 1] for n in range(3, 7)),
+        "plateau_7_to_9_change": (max(plateau) - min(plateau)) / max(plateau),
     }
-    return ["turns", "inductance_h", "resistance_ohm", "snr_mean", "snr_std"], rows, summary
 
 
-def snr_vs_frequency(trials: int, seed: int):
-    # Wider grid than the operating band so out-of-band resonances are
-    # still visible to the analyzer model.
-    reader = defaults.reader_coil()
-    bridge = defaults.bridge_config()
-    disturb = DisturbanceModel(noise_sigma=defaults.NOISE_SIGMA_DB)
-    rows = []
-    band = []
+def _frequency_points(reader: CoilParams) -> Iterator[tuple]:
     for f0_mhz in range(20, 41):
         sensor = defaults.ring_coil(f0_mhz * 1e6, 8)
         pair = CoupledPair(reader, sensor, defaults.K_REFERENCE)
-        snrs = []
-        for trial in range(trials):
-            cfg = SweepConfig(18e6, 42e6, 60e3, seed=seed + trial)
-            snrs.append(measure_snr(pair, bridge, cfg, disturb))
-        mean, std = _snr_stats(snrs)
-        rows.append([f0_mhz * 1e6, mean, std])
-        if mean > 10:
-            band.append(f0_mhz)
-    summary = {
-        "sensitive_band_mhz": [min(band), max(band)] if band else None,
-    }
-    return ["ring_frequency_hz", "snr_mean", "snr_std"], rows, summary
+        yield (f0_mhz * 1e6,), pair, WIDE_GRID, STOCK_NOISE
 
 
-def snr_vs_distance(trials: int, seed: int):
-    reader = defaults.reader_coil()
-    bridge = defaults.bridge_config()
-    disturb = DisturbanceModel(noise_sigma=defaults.NOISE_SIGMA_DB)
+def _frequency_summary(rows: list) -> dict:
+    band = [round(f0 / 1e6) for f0, mean, _ in rows if mean > 10]
+    return {"sensitive_band_mhz": [min(band), max(band)] if band else None}
+
+
+def _distance_points(reader: CoilParams) -> Iterator[tuple]:
     sensor = defaults.ring_coil(29e6, 8)
-    rows = []
-    reach = None
     for d_cm in range(5, 21):
         scene = GeometryScenario(
             distance=d_cm / 100,
@@ -250,26 +250,16 @@ def snr_vs_distance(trials: int, seed: int):
             reference_distance=defaults.REFERENCE_DISTANCE_M,
         )
         k = coupling_from_geometry(scene)
-        pair = CoupledPair(reader, sensor, k)
-        snrs = []
-        for trial in range(trials):
-            cfg = SweepConfig(seed=seed + trial)
-            snrs.append(measure_snr(pair, bridge, cfg, disturb))
-        mean, std = _snr_stats(snrs)
-        rows.append([d_cm / 100, k, mean, std])
-        if mean >= 10:
-            reach = d_cm / 100
-    summary = {"max_distance_snr10_m": reach}
-    return ["distance_m", "coupling", "snr_mean", "snr_std"], rows, summary
+        yield (d_cm / 100, k), CoupledPair(reader, sensor, k), DEFAULT_GRID, STOCK_NOISE
 
 
-def snr_vs_angle(trials: int, seed: int):
-    reader = defaults.reader_coil()
-    bridge = defaults.bridge_config()
-    disturb = DisturbanceModel(noise_sigma=defaults.NOISE_SIGMA_DB)
+def _distance_summary(rows: list) -> dict:
+    reach = max((d for d, _, mean, _ in rows if mean >= 10), default=None)
+    return {"max_distance_snr10_m": reach}
+
+
+def _angle_points(reader: CoilParams) -> Iterator[tuple]:
     sensor = defaults.ring_coil(29e6, 8)
-    rows = []
-    detectable = []
     for angle in (0, 30, 50, 70):
         scene = GeometryScenario(
             distance=defaults.REFERENCE_DISTANCE_M,
@@ -277,62 +267,79 @@ def snr_vs_angle(trials: int, seed: int):
             reference_coupling=defaults.K_REFERENCE_BENDING,
             reference_distance=defaults.REFERENCE_DISTANCE_M,
         )
-        pair = CoupledPair(reader, sensor, coupling_from_geometry(scene))
-        snrs = []
-        for trial in range(trials):
-            cfg = SweepConfig(seed=seed + trial)
-            snrs.append(measure_snr(pair, bridge, cfg, disturb))
-        mean, std = _snr_stats(snrs)
-        rows.append([angle, pair.coupling, mean, std])
-        if mean >= 10:
-            detectable.append(angle)
-    summary = {"max_detectable_angle_deg": max(detectable) if detectable else None}
-    return ["bend_angle_deg", "coupling", "snr_mean", "snr_std"], rows, summary
+        k = coupling_from_geometry(scene)
+        yield (angle, k), CoupledPair(reader, sensor, k), DEFAULT_GRID, STOCK_NOISE
 
 
-def snr_vs_metal(trials: int, seed: int):
-    reader = defaults.reader_coil()
-    bridge = defaults.bridge_config()
-    sensor = defaults.ring_coil(29e6, 8)
-    pair = CoupledPair(reader, sensor, defaults.K_REFERENCE)
-    det = DetectorConfig()
-    rows = []
-    summary_items = {}
+def _angle_summary(rows: list) -> dict:
+    detectable = max((angle for angle, _, mean, _ in rows if mean >= 10), default=None)
+    return {"max_detectable_angle_deg": detectable}
+
+
+def _metal_points(reader: CoilParams) -> Iterator[tuple]:
+    pair = CoupledPair(reader, defaults.ring_coil(29e6, 8), defaults.K_REFERENCE)
     for name, disturb in METAL_PRESETS.items():
-        snrs = []
-        detections = 0
-        foreign_flags = 0
-        n_frames = 20
-        peak_f, _ = noiseless_peak(pair, bridge, SweepConfig(seed=seed), disturb)
-        for trial in range(trials):
-            cfg = SweepConfig(seed=seed + trial)
-            snrs.append(measure_snr(pair, bridge, cfg, disturb))
-            frames = synthesize_block(
-                cfg,
-                [pair] * n_frames,
-                bridge,
-                disturb,
-                [i / cfg.acquisition_rate for i in range(n_frames)],
-            )
-            for peaks in detect_block(frames.frequencies, frames.magnitudes_db, det)[1]:
-                if any(abs(p.peak_frequency - peak_f) <= 2 * cfg.step for p in peaks):
-                    detections += 1
-                if foreign_resonator(peaks, PRESS_PROFILE):
-                    foreign_flags += 1
-        mean, std = _snr_stats(snrs)
-        detection_rate = detections / (trials * n_frames)
-        foreign_rate = foreign_flags / (trials * n_frames)
-        rows.append([name, mean, std, detection_rate, foreign_rate])
-        summary_items[name] = {
+        yield (name,), pair, DEFAULT_GRID, disturb
+
+
+def _metal_frame_rates(pair, bridge, grid, disturb, trials: int, seed: int) -> list:
+    """[detection rate, foreign-resonator rate] over ``METAL_FRAMES``
+    detected frames per trial.  A frame counts as a detection when it has
+    a peak within two grid steps of the noise-free peak."""
+    det = DetectorConfig()
+    peak_f, _ = noiseless_peak(pair, bridge, replace(grid, seed=seed), disturb)
+    detections = 0
+    foreign_flags = 0
+    for trial in range(trials):
+        cfg = replace(grid, seed=seed + trial)
+        frames = synthesize_block(
+            cfg,
+            [pair] * METAL_FRAMES,
+            bridge,
+            disturb,
+            [i / cfg.acquisition_rate for i in range(METAL_FRAMES)],
+        )
+        for peaks in detect_block(frames.frequencies, frames.magnitudes_db, det)[1]:
+            if any(abs(p.peak_frequency - peak_f) <= 2 * cfg.step for p in peaks):
+                detections += 1
+            if foreign_resonator(peaks, PRESS_PROFILE):
+                foreign_flags += 1
+    n_frames = trials * METAL_FRAMES
+    return [detections / n_frames, foreign_flags / n_frames]
+
+
+def _metal_summary(rows: list) -> dict:
+    return {
+        name: {
             "snr_mean": mean,
             "detection_rate": detection_rate,
             "foreign_resonator_rate": foreign_rate,
         }
-    return (
-        ["appliance", "snr_mean", "snr_std", "detection_rate", "foreign_resonator_rate"],
-        rows,
-        summary_items,
-    )
+        for name, mean, _, detection_rate, foreign_rate in rows
+    }
+
+
+SNR_STUDIES = {
+    "snr-vs-turns": SnrStudy(
+        ("turns", "inductance_h", "resistance_ohm"), _turns_points, _turns_summary
+    ),
+    "snr-vs-frequency": SnrStudy(
+        ("ring_frequency_hz",), _frequency_points, _frequency_summary
+    ),
+    "snr-vs-distance": SnrStudy(
+        ("distance_m", "coupling"), _distance_points, _distance_summary
+    ),
+    "snr-vs-angle": SnrStudy(
+        ("bend_angle_deg", "coupling"), _angle_points, _angle_summary
+    ),
+    "snr-vs-metal": SnrStudy(
+        ("appliance",),
+        _metal_points,
+        _metal_summary,
+        extra_columns=("detection_rate", "foreign_resonator_rate"),
+        extra=_metal_frame_rates,
+    ),
+}
 
 
 # Press-session shape: at 5 fps, two seconds idle then two seconds held
@@ -408,20 +415,17 @@ def press_accuracy(trials: int, seed: int):
     return ["target_snr", "presses", "accuracy"], rows, summary
 
 
-_RUNNERS = {
-    "snr-vs-turns": snr_vs_turns,
-    "snr-vs-frequency": snr_vs_frequency,
-    "snr-vs-distance": snr_vs_distance,
-    "snr-vs-angle": snr_vs_angle,
-    "snr-vs-metal": snr_vs_metal,
-    "press-accuracy": press_accuracy,
-}
+EXPERIMENTS = (*SNR_STUDIES, "press-accuracy")
 
 
 def run_experiment(spec: ExperimentSpec) -> dict:
     """Run one experiment, write the CSV table and a JSON summary next to
     it, and return the summary."""
-    header, rows, summary = _RUNNERS[spec.experiment](spec.trials, spec.seed)
+    if spec.experiment in SNR_STUDIES:
+        study = SNR_STUDIES[spec.experiment]
+        header, rows, summary = run_snr_study(study, spec.trials, spec.seed)
+    else:
+        header, rows, summary = press_accuracy(spec.trials, spec.seed)
     with open(spec.output_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

@@ -38,6 +38,7 @@ class DataFormatError(ValueError):
     """Malformed sweep/session file."""
 
 
+# Default grid: 27-30 MHz in 60 kHz steps, 5 sweeps/s.
 @dataclass(frozen=True)
 class SweepConfig:
     start_frequency: float = 27e6

@@ -30,11 +30,11 @@ from pitkit.decode import (
 )
 from pitkit.detect import DetectorConfig, compute_snr, detect_peaks
 from pitkit.experiments import (
+    SNR_STUDIES,
     ExperimentSpec,
     press_accuracy_session,
     run_experiment,
-    snr_vs_distance,
-    snr_vs_turns,
+    run_snr_study,
 )
 from pitkit.synth import (
     DisturbanceModel,
@@ -184,7 +184,7 @@ def test_criterion_5_snr_definition_fixture():
 def test_criterion_6_snr_vs_turns_trend():
     """Measured SNR grows monotonically from 3 to 7 turns and plateaus
     within 10% across 7-9 turns (seed 0)."""
-    _, _, summary = snr_vs_turns(trials=1, seed=0)
+    _, _, summary = run_snr_study(SNR_STUDIES["snr-vs-turns"], trials=1, seed=0)
     by_turn = summary["snr_by_turns"]
     print(
         "criterion 6: SNR by turns "
@@ -199,7 +199,7 @@ def test_criterion_6_snr_vs_turns_trend():
 def test_criterion_7_snr_vs_distance_reach():
     """The 8-turn ring reads at SNR >= 10 out to 13 cm and drops below
     10 past 15 cm (seed 0)."""
-    header, rows, summary = snr_vs_distance(trials=1, seed=0)
+    header, rows, summary = run_snr_study(SNR_STUDIES["snr-vs-distance"], trials=1, seed=0)
     by_distance = {round(r[0], 2): r[2] for r in rows}
     print(
         f"criterion 7: SNR {by_distance[0.13]:.1f} at 13 cm (>= 10); "

@@ -5,8 +5,10 @@ import json
 
 import pytest
 
+from pitkit import cli
 from pitkit.cli import _sweep_config, main
-from pitkit.synth import DataFormatError
+from pitkit.detect import DetectorConfig
+from pitkit.synth import DataFormatError, SweepConfig
 
 
 def run(capsys, *argv):
@@ -83,6 +85,14 @@ class TestSynthDetect:
             assert run(capsys, "synth", "--output", str(p), "--seed", "11")[0] == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    def test_detect_defaults_are_detector_config(self, capsys, tmp_path, monkeypatch):
+        sweep_path = tmp_path / "sweep.csv"
+        assert run(capsys, "synth", "--output", str(sweep_path))[0] == 0
+        configs = []
+        monkeypatch.setattr(cli, "detect_peaks", lambda sweep, cfg: configs.append(cfg) or [])
+        assert run(capsys, "detect", str(sweep_path))[0] == 0
+        assert configs == [DetectorConfig()]
+
     def test_detect_missing_file(self, capsys):
         code, _, err = run(capsys, "detect", "/no/such/file.csv")
         assert code == 1
@@ -103,6 +113,12 @@ class TestSynthDetect:
         out_path = tmp_path / "fine.csv"
         assert run(capsys, "synth", "--output", str(out_path))[0] == 0
         assert len(out_path.read_text().splitlines()) == 1 + 101
+
+    def test_config_env_partial_uses_sweep_config_defaults(self, tmp_path, monkeypatch):
+        cfg_path = tmp_path / "grid.json"
+        cfg_path.write_text('{"step_hz": 30e3}')
+        monkeypatch.setenv("PITKIT_CONFIG", str(cfg_path))
+        assert _sweep_config(4) == SweepConfig(step=30e3, seed=4)
 
     @pytest.mark.parametrize("raw", ["[27e6, 30e6]", "42", '"grid"', "null"])
     def test_config_env_not_an_object(self, capsys, tmp_path, monkeypatch, raw):

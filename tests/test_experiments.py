@@ -7,22 +7,27 @@ import json
 import numpy as np
 import pytest
 
-from pitkit import defaults
+from pitkit import defaults, experiments
 from pitkit.circuit import CoupledPair, capacitance_for_resonance
 from pitkit.decode import PRESS_PROFILE, foreign_resonator
 from pitkit.detect import compute_snr, detect_block, detect_peaks
 from pitkit.experiments import (
-    EXPERIMENTS,
     METAL_PRESETS,
+    SNR_STUDIES,
     ExperimentSpec,
     calibrate_coupling,
     measure_snr,
     noiseless_peak,
     run_experiment,
-    snr_vs_metal,
-    snr_vs_turns,
+    run_snr_study,
 )
-from pitkit.synth import DisturbanceModel, SweepConfig, synthesize_sweep
+from pitkit.synth import (
+    DisturbanceModel,
+    GeometryScenario,
+    SweepConfig,
+    coupling_from_geometry,
+    synthesize_sweep,
+)
 
 
 def default_pair(coupling=defaults.K_REFERENCE, turns=8):
@@ -127,9 +132,93 @@ class TestCalibrateCoupling:
             )
 
 
+STOCK_NOISE = DisturbanceModel(noise_sigma=defaults.NOISE_SIGMA_DB)
+DEFAULT_GRID = ()  # SweepConfig's own grid
+WIDE_GRID = (18e6, 42e6, 60e3)
+RING = defaults.ring_coil(29e6, 8)
+
+
+def _point(sensor, coupling, grid=DEFAULT_GRID, disturb=STOCK_NOISE):
+    """(pair, sweep grid, disturbance) of a study point on the stock reader."""
+    return CoupledPair(defaults.reader_coil(), sensor, coupling), grid, disturb
+
+
+def _coupling_at(distance=defaults.REFERENCE_DISTANCE_M, angle=0.0, k_ref=defaults.K_REFERENCE):
+    return coupling_from_geometry(
+        GeometryScenario(
+            distance=distance,
+            bend_angle=angle,
+            reference_coupling=k_ref,
+            reference_distance=defaults.REFERENCE_DISTANCE_M,
+        )
+    )
+
+
+def _turns_end(turns):
+    ring = defaults.ring_coil(29e6, turns)
+    return (turns, ring.inductance, ring.resistance), _point(ring, defaults.K_REFERENCE)
+
+
+def _distance_end(distance):
+    k = _coupling_at(distance=distance)
+    return (distance, k), _point(RING, k)
+
+
+def _angle_end(angle):
+    k = _coupling_at(angle=angle, k_ref=defaults.K_REFERENCE_BENDING)
+    return (angle, k), _point(RING, k)
+
+
+# Per study: (key values, point) of its first and last rows.
+STUDY_ENDS = {
+    "snr-vs-turns": [_turns_end(3), _turns_end(9)],
+    "snr-vs-frequency": [
+        ((f0,), _point(defaults.ring_coil(f0, 8), defaults.K_REFERENCE, WIDE_GRID))
+        for f0 in (20e6, 40e6)
+    ],
+    "snr-vs-distance": [_distance_end(0.05), _distance_end(0.20)],
+    "snr-vs-angle": [_angle_end(0), _angle_end(70)],
+    "snr-vs-metal": [
+        ((name,), _point(RING, defaults.K_REFERENCE, disturb=METAL_PRESETS[name]))
+        for name in ("qi-charger", "smart-ring")
+    ],
+}
+
+
+class TestSnrStudies:
+    @pytest.mark.parametrize("name", sorted(STUDY_ENDS))
+    def test_end_rows_equal_direct_measurement(self, name):
+        """The first and last rows hold the mean and population std of
+        measure_snr called directly on the documented point, one call per
+        trial at seed + trial.  Catches an entry with the wrong grid,
+        coupling or coil."""
+        trials, seed = 2, 3
+        _, rows, _ = run_snr_study(SNR_STUDIES[name], trials, seed)
+        bridge = defaults.bridge_config()
+        for row, (key, (pair, grid, disturb)) in zip((rows[0], rows[-1]), STUDY_ENDS[name]):
+            snrs = [
+                measure_snr(pair, bridge, SweepConfig(*grid, seed=seed + trial), disturb)
+                for trial in range(trials)
+            ]
+            n_keys = len(key)
+            assert tuple(row[:n_keys]) == key
+            assert row[n_keys:n_keys + 2] == [np.mean(snrs), np.std(snrs)]
+
+    def test_runner_calls_module_measure_snr(self, monkeypatch):
+        """Tracing wraps ``experiments.measure_snr``; the runner must call
+        it through the module so every SNR point is seen."""
+        calls = []
+        monkeypatch.setattr(
+            experiments, "measure_snr", lambda *args: calls.append(args) or 10.0
+        )
+        _, rows, _ = run_snr_study(SNR_STUDIES["snr-vs-angle"], trials=3, seed=0)
+        assert len(calls) == 3 * len(rows)
+        assert [cfg.seed for _, _, cfg, _ in calls[:3]] == [0, 1, 2]
+
+
 class TestSnrVsTurns:
     def test_summary_flags(self):
-        header, rows, summary = snr_vs_turns(trials=1, seed=0)
+        header, rows, summary = run_snr_study(SNR_STUDIES["snr-vs-turns"], trials=1, seed=0)
         assert header[0] == "turns"
         assert [r[0] for r in rows] == sorted(defaults.TURN_TABLE)
         assert summary["monotone_3_to_7"] is True
@@ -141,7 +230,7 @@ class TestSnrVsMetal:
         """Detection and foreign-resonator rates from one block per trial
         equal those of frames synthesized and detected one at a time."""
         trials, seed, n_frames = 2, 4, 20
-        _, rows, _ = snr_vs_metal(trials, seed)
+        _, rows, _ = run_snr_study(SNR_STUDIES["snr-vs-metal"], trials, seed)
         pair = default_pair()
         bridge = defaults.bridge_config()
         for (name, *_, detection_rate, foreign_rate), (preset, disturb) in zip(
@@ -187,10 +276,3 @@ class TestRunExperiment:
             json.loads((tmp_path / "a.csv.summary.json").read_text())["summary"]
             == json.loads((tmp_path / "b.csv.summary.json").read_text())["summary"]
         )
-
-    def test_experiment_names_all_runnable(self):
-        # registry consistency only; the runs themselves are exercised in
-        # the acceptance suite
-        from pitkit.experiments import _RUNNERS
-
-        assert set(_RUNNERS) == set(EXPERIMENTS)
