@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 
 from . import defaults
 from .circuit import CoupledPair
@@ -32,7 +33,10 @@ from .synth import (
 DEFAULT_CONFIG_ENV = "PITKIT_CONFIG"
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, so every ``main`` call reuses it."""
     parser = argparse.ArgumentParser(
         prog="pitkit",
         description="Passive inductive telemetry toolkit: coil design, sweep "
@@ -161,7 +165,7 @@ def _cmd_synth(args) -> int:
     duration = args.duration
     if duration is None:
         duration = (max((t for t, _ in events), default=0.0)) + 2.0
-    sweeps = scripted_session(
+    session = scripted_session(
         events,
         profile,
         cfg,
@@ -172,7 +176,7 @@ def _cmd_synth(args) -> int:
         duration=duration,
         disturb=disturb,
     )
-    session_to_json(sweeps, args.output)
+    session_to_json(session, args.output)
     return 0
 
 
@@ -187,10 +191,10 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_decode(args) -> int:
-    sweeps = session_from_json(args.session)
+    session = session_from_json(args.session)
     profile = _load_profile(args.profile)
     events = decode_stream(
-        sweeps,
+        session,
         profile,
         DetectorConfig(),
         DebounceConfig(confirm_frames=args.confirm_frames),

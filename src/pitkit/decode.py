@@ -10,7 +10,6 @@ reed-transition decoder instead.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -270,7 +269,8 @@ def decode_stream(
     det: DetectorConfig = DetectorConfig(),
     deb: DebounceConfig = DebounceConfig(),
 ) -> list[InputEvent]:
-    """Decode a time-ordered sweep train into debounced input events.
+    """Decode a time-ordered sweep train, a ``SweepBlock`` or an iterable
+    of sweeps, into debounced input events.
 
     A state change must persist for ``confirm_frames`` consecutive
     sweeps before it is emitted; shorter excursions produce nothing.
@@ -279,8 +279,9 @@ def decode_stream(
     evidence alongside explicit idle observations: the resonance of a
     held switch is either present or the switch is no longer held.
 
-    Detection runs on blocks of consecutive sweeps that share a grid
-    (see ``detect_stream``); the debouncer then steps frame by frame.
+    Detection runs on blocks of consecutive sweeps that share a grid: row
+    views of a ``SweepBlock``, or gathered sweeps (see ``detect_stream``);
+    the debouncer then steps frame by frame.
     """
     idle = profile.idle_label
     if profile.kind == "scroll":

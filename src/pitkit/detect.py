@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .trace import BLOCK_POINTS, Sweep, SweepBlock
+from .trace import BLOCK_POINTS, Sweep, SweepBlock, as_block
 
 # Residual sigma is floored so noiseless traces report a finite SNR.
 _SIGMA_FLOOR = 1e-12
@@ -245,11 +245,21 @@ def _row_peaks(
 def detect_stream(sweeps, cfg: DetectorConfig = DetectorConfig()):
     """Yield (sweep, residual, peaks) for each sweep of a train, in order.
 
-    Consecutive sweeps on one grid are detected together in blocks of at
-    most ``BLOCK_POINTS`` grid points; a grid change starts a new block.
-    The input is consumed one block at a time, so a generator of sweeps
-    is never held in memory whole.
+    Sweeps are detected together in blocks of at most ``BLOCK_POINTS``
+    grid points.  A ``SweepBlock`` is cut into row views of itself and
+    each goes straight to ``detect_block``.  Any other iterable of sweeps
+    is gathered into blocks of consecutive sweeps on one grid, where a
+    grid change starts a new block; it is consumed one block at a time,
+    so a generator of sweeps is never held in memory whole.
     """
+    if isinstance(sweeps, SweepBlock):
+        rows = _block_rows(sweeps.frequencies)
+        for i in range(0, len(sweeps), rows):
+            # a fresh chunk view per block: zip stops on its last row
+            chunk = sweeps[i : i + rows]
+            residuals, peaks = detect_block(chunk.frequencies, chunk.magnitudes_db, cfg)
+            yield from zip(chunk, residuals, peaks)
+        return
     block: list[Sweep] = []
     rows = 1
     for sweep in sweeps:
@@ -263,10 +273,14 @@ def detect_stream(sweeps, cfg: DetectorConfig = DetectorConfig()):
             yield from _detect_sweeps(block, cfg)
             block = []
         if not block:
-            rows = max(1, BLOCK_POINTS // max(1, len(sweep.frequencies)))
+            rows = _block_rows(sweep.frequencies)
         block.append(sweep)
     if block:
         yield from _detect_sweeps(block, cfg)
+
+
+def _block_rows(frequencies: np.ndarray) -> int:
+    return max(1, BLOCK_POINTS // max(1, len(frequencies)))
 
 
 def _detect_sweeps(block: list[Sweep], cfg: DetectorConfig):
@@ -300,25 +314,14 @@ def compute_snr(traces_with, traces_without, at_frequency: float) -> float:
 
     Each set is a ``SweepBlock`` or a sequence of sweeps on one grid; the
     grid of the with-sensor set locates the point."""
-    grid, with_rows = _rows(traces_with)
-    _, without_rows = _rows(traces_without)
-    if len(with_rows) < 2 or len(without_rows) < 2:
+    with_block, without_block = as_block(traces_with), as_block(traces_without)
+    if len(with_block) < 2 or len(without_block) < 2:
         raise ValueError("need at least 2 traces in each set")
-    idx = int(np.argmin(np.abs(grid - at_frequency)))
-    vals_with = with_rows[:, idx]
-    vals_without = without_rows[:, idx]
+    idx = int(np.argmin(np.abs(with_block.frequencies - at_frequency)))
+    vals_with = with_block.magnitudes_db[:, idx]
+    vals_without = without_block.magnitudes_db[:, idx]
     std = float(vals_without.std())
     if std == 0.0:
         diff = float(vals_with.mean() - vals_without.mean())
         return math.inf if diff > 0 else (-math.inf if diff < 0 else 0.0)
     return float((vals_with.mean() - vals_without.mean()) / std)
-
-
-def _rows(traces) -> tuple:
-    """Grid (N,) and magnitudes (T, N) of a block or of a sequence of
-    sweeps; the grid is None for an empty sequence."""
-    if isinstance(traces, SweepBlock):
-        return traces.frequencies, traces.magnitudes_db
-    traces = list(traces)
-    grid = traces[0].frequencies if traces else None
-    return grid, np.array([s.magnitudes_db for s in traces])

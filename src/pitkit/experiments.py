@@ -124,9 +124,15 @@ def calibrate_coupling(
     noisy = DisturbanceModel(noise_sigma=noise_sigma)
     det = DetectorConfig()
 
+    # Both bisections start from the same bracket, so they share their
+    # first steps; each k is synthesized and detected once per call.
+    residuals: dict[float, np.ndarray] = {}
+
     def quiet_residual(k: float) -> np.ndarray:
-        s = synthesize_sweep(cfg, CoupledPair(reader, sensor, k), bridge, quiet)
-        return detect_block(s.frequencies, s.magnitudes_db[None, :], det)[0][0]
+        if k not in residuals:
+            s = synthesize_sweep(cfg, CoupledPair(reader, sensor, k), bridge, quiet)
+            residuals[k] = detect_block(s.frequencies, s.magnitudes_db[None, :], det)[0][0]
+        return residuals[k]
 
     def bisect(target: float) -> float:
         lo, hi = 1e-6, 0.05

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Optional, Sequence
@@ -25,7 +26,7 @@ import numpy as np
 
 from .bridge import BridgeConfig, bridge_output, to_db_magnitude
 from .circuit import CoilParams, CoupledPair, capacitance_for_resonance, load_impedance, sensor_impedance
-from .trace import BLOCK_POINTS, Sweep, SweepBlock
+from .trace import BLOCK_POINTS, Sweep, SweepBlock, as_block
 
 if TYPE_CHECKING:
     from .decode import RingProfile
@@ -194,6 +195,21 @@ def synthesize_block(
     times = [float(t) for t in timestamps]
     if len(pairs) != len(times):
         raise ValueError(f"{len(pairs)} pairs but {len(times)} timestamps")
+    f = _grid(cfg.start_frequency, cfg.stop_frequency, cfg.step)[0]
+    magnitudes = np.empty((len(times), len(f)))
+    _synthesize_into(magnitudes, cfg, pairs, bridge, disturb, times)
+    return SweepBlock(f, magnitudes, times)
+
+
+def _synthesize_into(
+    out: np.ndarray,
+    cfg: SweepConfig,
+    pairs: Sequence[CoupledPair],
+    bridge: BridgeConfig,
+    disturb: DisturbanceModel,
+    times: list[float],
+) -> None:
+    """Write the rows of ``synthesize_block`` into ``out`` (T, N)."""
     f, x = _grid(cfg.start_frequency, cfg.stop_frequency, cfg.step)
     phases = _drift_phases(cfg.seed)
     metal = (
@@ -236,19 +252,25 @@ def synthesize_block(
             level = offset + (p_loaded - p_unloaded)
             levels.append(level if metal is None else level + metal)
         which.append(level_of[key])
-    p = np.array(levels).reshape(len(levels), len(f))[np.array(which, dtype=np.intp)]
+    # the indices are in range by construction; "clip" writes to ``out``
+    # directly, where the default mode would go through a buffer
+    np.take(
+        np.array(levels).reshape(len(levels), len(f)),
+        np.array(which, dtype=np.intp),
+        axis=0,
+        out=out,
+        mode="clip",
+    )
 
     if disturb.amplitude_drift > 0.0:
         amp = disturb.amplitude_drift * DRIFT_PERIOD_S / (2.0 * math.pi)
         t = np.array(times)[:, None]
         coeffs = amp * np.sin(2.0 * math.pi * t / DRIFT_PERIOD_S + phases[:3])
-        p += np.polynomial.polynomial.polyval(x, coeffs.T)
+        out += np.polynomial.polynomial.polyval(x, coeffs.T)
 
     if disturb.noise_sigma > 0.0:
-        for row, t in zip(p, times):
+        for row, t in zip(out, times):
             row += _noise_rng(cfg.seed, t).normal(0.0, disturb.noise_sigma, size=len(f))
-
-    return SweepBlock(f, p, times)
 
 
 def synthesize_sweep(
@@ -275,14 +297,16 @@ def scripted_session(
     duration: float,
     disturb: DisturbanceModel = DisturbanceModel(),
     scene_timeline: Sequence[tuple] | GeometryScenario = GeometryScenario(),
-) -> list[Sweep]:
-    """Generate the sweep train for a timed switch-state sequence.
+) -> SweepBlock:
+    """Generate the sweep train for a timed switch-state sequence, as one
+    block.
 
     ``events`` is a list of (time_s, state_label); the ring idles in the
     profile's first state until the first event.  ``scene_timeline`` is
     either one geometry or a list of (time_s, GeometryScenario).  The
-    train is synthesized in blocks of at most ``BLOCK_POINTS`` grid
-    points.
+    rows are synthesized in chunks of at most ``BLOCK_POINTS`` grid
+    points, which bounds synthesis temporaries, straight into the one
+    block's magnitudes.
     """
     events = sorted(events, key=lambda e: e[0])
     for _, label in events:
@@ -318,13 +342,13 @@ def scripted_session(
             pair_of[state, scene] = CoupledPair(reader, sensor, coupling_from_geometry(scene))
         pairs.append(pair_of[state, scene])
 
-    rows = max(1, BLOCK_POINTS // cfg.point_count)
-    sweeps: list[Sweep] = []
+    f = _grid(cfg.start_frequency, cfg.stop_frequency, cfg.step)[0]
+    magnitudes = np.empty((frame_count, len(f)))
+    rows = max(1, BLOCK_POINTS // len(f))
     for i in range(0, frame_count, rows):
-        sweeps.extend(
-            synthesize_block(cfg, pairs[i : i + rows], bridge, disturb, times[i : i + rows])
-        )
-    return sweeps
+        chunk = slice(i, i + rows)
+        _synthesize_into(magnitudes[chunk], cfg, pairs[chunk], bridge, disturb, times[chunk])
+    return SweepBlock(f, magnitudes, times)
 
 
 # ---------------------------------------------------------------------------
@@ -369,65 +393,119 @@ def sweep_from_csv(path, timestamp: float = 0.0) -> Sweep:
         raise DataFormatError(f"{path}: {exc}") from None
 
 
-def session_to_json(sweeps: Sequence[Sweep], path) -> None:
-    """Write a sweep train as a JSON array with inline points."""
-    records = [
-        {
-            "timestamp_s": float(s.timestamp),
-            "frequencies_hz": [float(v) for v in s.frequencies],
-            "magnitudes_db": [float(v) for v in s.magnitudes_db],
-        }
-        for s in sweeps
-    ]
+def session_to_json(sweeps: SweepBlock | Sequence[Sweep], path) -> None:
+    """Write a sweep train as one columnar JSON object: the grid once
+    (``frequencies_hz``), the ``timestamps_s`` and one row of
+    ``magnitudes_db`` per sweep.  ``sweeps`` is a block or a sequence of
+    sweeps on one grid.  Floats use shortest round-trip formatting, so
+    reading the file back reproduces the values bit-exactly."""
+    block = as_block(sweeps)
+    doc = {
+        "frequencies_hz": block.frequencies.tolist(),
+        "timestamps_s": block.timestamps.tolist(),
+        "magnitudes_db": block.magnitudes_db.tolist(),
+    }
     with open(path, "w") as fh:
-        json.dump(records, fh)
-        fh.write("\n")
+        fh.write(json.dumps(doc) + "\n")
 
 
-def session_from_json(path) -> list[Sweep]:
-    """Read a session file: a JSON array of records carrying either
-    inline points or a ``sweep_file`` reference relative to the session."""
-    import os
+def session_from_json(path) -> SweepBlock:
+    """Read a session file as one block, validated once.
 
+    The file is a columnar object as ``session_to_json`` writes it, or
+    the older JSON array of records, each with a ``timestamp_s`` and
+    either inline points or a ``sweep_file`` reference relative to the
+    session.  Every sweep of a session is on one grid, and the
+    timestamps are finite, >= 0 and non-decreasing."""
     with open(path) as fh:
         try:
-            records = json.load(fh)
+            doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DataFormatError(f"{path}: {exc}") from None
-    if not isinstance(records, list):
-        raise DataFormatError(f"{path}: expected a JSON array of sweep records")
-    sweeps = []
-    previous = 0.0
+    if isinstance(doc, dict):
+        frequencies, timestamps, magnitudes = _columns(path, doc)
+    elif isinstance(doc, list):
+        frequencies, timestamps, magnitudes = _records(path, doc)
+    else:
+        raise DataFormatError(
+            f"{path}: expected a columnar session object or a JSON array of sweep records"
+        )
+    # decoding assumes a time-ordered train
+    previous = np.concatenate(([0.0], timestamps[:-1]))
+    bad = ~(np.isfinite(timestamps) & (timestamps >= previous))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DataFormatError(
+            f"{path}: record {i}: timestamp_s {float(timestamps[i])!r} must be finite, "
+            f">= 0 and not before the previous record ({float(previous[i])!r})"
+        )
+    try:
+        return SweepBlock(frequencies, magnitudes, timestamps)
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
+
+
+def _columns(path, doc: dict) -> tuple:
+    """Grid (N,), timestamps (T,) and magnitudes (T, N) of a columnar
+    session object."""
+    arrays = []
+    for key in ("frequencies_hz", "timestamps_s", "magnitudes_db"):
+        if key not in doc:
+            raise DataFormatError(f"{path}: columnar session has no {key!r}")
+        try:
+            arrays.append(np.asarray(doc[key], dtype=float))
+        except (TypeError, ValueError) as exc:
+            raise DataFormatError(f"{path}: {key}: {exc}") from None
+    f, t, m = arrays
+    if f.ndim != 1 or t.ndim != 1:
+        raise DataFormatError(f"{path}: frequencies_hz and timestamps_s must be lists of numbers")
+    if m.size == 0 and not len(t):
+        m = m.reshape(0, len(f))
+    if m.shape != (len(t), len(f)):
+        raise DataFormatError(
+            f"{path}: magnitudes_db must hold one row of {len(f)} values per timestamp "
+            f"({len(t)} rows), got shape {m.shape}"
+        )
+    return f, t, m
+
+
+def _records(path, records: list) -> tuple:
+    """Grid (N,), timestamps (T,) and magnitudes (T, N) of an array of
+    sweep records."""
+    grid = None
+    times = []
+    rows = []
     for i, rec in enumerate(records):
         if not isinstance(rec, dict) or "timestamp_s" not in rec:
             raise DataFormatError(f"{path}: record {i}: missing 'timestamp_s'")
         try:
-            t = float(rec["timestamp_s"])
+            times.append(float(rec["timestamp_s"]))
         except (TypeError, ValueError) as exc:
             raise DataFormatError(f"{path}: record {i}: timestamp_s: {exc}") from None
-        # decoding assumes a time-ordered train
-        if not math.isfinite(t) or t < previous:
-            raise DataFormatError(
-                f"{path}: record {i}: timestamp_s {t!r} must be finite, >= 0 "
-                f"and not before the previous record ({previous!r})"
-            )
-        previous = t
         if "sweep_file" in rec:
-            ref = os.path.join(os.path.dirname(os.fspath(path)), rec["sweep_file"])
-            sweeps.append(sweep_from_csv(ref, timestamp=t))
+            if not isinstance(rec["sweep_file"], str):
+                raise DataFormatError(f"{path}: record {i}: sweep_file must be a path string")
+            sweep = sweep_from_csv(os.path.join(os.path.dirname(os.fspath(path)), rec["sweep_file"]))
         elif "frequencies_hz" in rec and "magnitudes_db" in rec:
             try:
-                sweeps.append(
-                    Sweep(
-                        np.asarray(rec["frequencies_hz"], float),
-                        np.asarray(rec["magnitudes_db"], float),
-                        timestamp=t,
-                    )
+                sweep = Sweep(
+                    np.asarray(rec["frequencies_hz"], float),
+                    np.asarray(rec["magnitudes_db"], float),
                 )
-            except ValueError as exc:
+            except (TypeError, ValueError) as exc:
                 raise DataFormatError(f"{path}: record {i}: {exc}") from None
         else:
             raise DataFormatError(
                 f"{path}: record {i}: needs 'sweep_file' or inline points"
             )
-    return sweeps
+        if grid is None:
+            grid = sweep.frequencies
+        elif not np.array_equal(sweep.frequencies, grid):
+            raise DataFormatError(
+                f"{path}: record {i}: frequencies differ from record 0's; "
+                "a session has one grid"
+            )
+        rows.append(sweep.magnitudes_db)
+    if grid is None:
+        return np.empty(0), np.empty(0), np.empty((0, 0))
+    return grid, np.array(times), np.array(rows)

@@ -1,12 +1,15 @@
 """Swept-magnitude trace types shared by the synthesizer and detector.
 
 A ``Sweep`` is one analyzer acquisition.  A ``SweepBlock`` is T
-acquisitions on one shared grid, validated once as a whole; iterating
-it yields its rows as ``Sweep`` views that are not validated again.
+acquisitions on one shared grid, validated once as a whole.  It is a
+sequence of sweeps: iterating it or indexing it with an int gives rows
+as ``Sweep`` views, and slicing it gives a ``SweepBlock`` view; neither
+is validated again.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,8 +86,45 @@ class SweepBlock:
     def __iter__(self):
         """The rows, as sweeps sharing this block's grid and memory."""
         for m, t in zip(self.magnitudes_db, self.timestamps.tolist()):
-            row = object.__new__(Sweep)
-            object.__setattr__(row, "frequencies", self.frequencies)
-            object.__setattr__(row, "magnitudes_db", m)
-            object.__setattr__(row, "timestamp", t)
-            yield row
+            yield _row(self.frequencies, m, t)
+
+    def __getitem__(self, index):
+        """Row ``index`` as a ``Sweep`` view, or the rows of a slice as a
+        ``SweepBlock`` view.  A slice must keep time order, so its step
+        must be positive."""
+        if isinstance(index, slice):
+            if index.step is not None and index.step <= 0:
+                raise ValueError("a SweepBlock slice step must be positive")
+            view = object.__new__(SweepBlock)
+            object.__setattr__(view, "frequencies", self.frequencies)
+            object.__setattr__(view, "magnitudes_db", self.magnitudes_db[index])
+            object.__setattr__(view, "timestamps", self.timestamps[index])
+            return view
+        i = operator.index(index)
+        return _row(self.frequencies, self.magnitudes_db[i], float(self.timestamps[i]))
+
+
+def _row(frequencies: np.ndarray, magnitudes: np.ndarray, timestamp: float) -> Sweep:
+    """A ``Sweep`` over one row of an already validated block."""
+    row = object.__new__(Sweep)
+    object.__setattr__(row, "frequencies", frequencies)
+    object.__setattr__(row, "magnitudes_db", magnitudes)
+    object.__setattr__(row, "timestamp", timestamp)
+    return row
+
+
+def as_block(sweeps) -> SweepBlock:
+    """``sweeps`` as one validated block: a ``SweepBlock`` as it is, or a
+    sequence of sweeps on one grid stacked into a new block."""
+    if isinstance(sweeps, SweepBlock):
+        return sweeps
+    sweeps = list(sweeps)
+    if not sweeps:
+        return SweepBlock(np.empty(0), np.empty((0, 0)), ())
+    grid = sweeps[0].frequencies
+    for i, s in enumerate(sweeps):
+        if not (s.frequencies is grid or np.array_equal(s.frequencies, grid)):
+            raise ValueError(f"sweep {i} is not on the grid of sweep 0")
+    return SweepBlock(
+        grid, np.array([s.magnitudes_db for s in sweeps]), [s.timestamp for s in sweeps]
+    )

@@ -6,7 +6,6 @@ criterion.
 """
 
 import itertools
-import json
 import time
 
 import numpy as np
@@ -21,14 +20,8 @@ from pitkit.circuit import (
     reflected_impedance,
 )
 from pitkit.dca import design_dca
-from pitkit.decode import (
-    DebounceConfig,
-    PROFILE_PRESETS,
-    classify_state,
-    decode_scroll,
-    decode_stream,
-)
-from pitkit.detect import DetectorConfig, compute_snr, detect_peaks
+from pitkit.decode import PROFILE_PRESETS, classify_state, decode_scroll
+from pitkit.detect import compute_snr, detect_peaks
 from pitkit.experiments import (
     SNR_STUDIES,
     ExperimentSpec,

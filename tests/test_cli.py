@@ -2,19 +2,31 @@
 ``main`` so exit codes and output files are checked directly."""
 
 import json
+import re
 
 import pytest
 
-from pitkit import cli
+from pitkit import cli, defaults
 from pitkit.cli import _sweep_config, main
 from pitkit.detect import DetectorConfig
-from pitkit.synth import DataFormatError, SweepConfig
+from pitkit.synth import DataFormatError, SweepConfig, session_from_json
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def press_session_file(capsys, tmp_path):
+    """A 3 s press session written by ``pitkit synth``: its path and the
+    parsed columnar object."""
+    events_path = tmp_path / "events.json"
+    events_path.write_text(json.dumps([[1.0, "off"], [2.0, "on"]]))
+    session_path = tmp_path / "session.json"
+    assert run(capsys, "synth", "--output", str(session_path),
+               "--events", str(events_path), "--duration", "3.0")[0] == 0
+    return session_path, json.loads(session_path.read_text())
 
 
 class TestDesignCoil:
@@ -210,18 +222,63 @@ class TestSynthDecode:
         assert names == ["press-down", "press-up"]
 
     def test_decode_rejects_reversed_session(self, capsys, tmp_path):
-        events_path = tmp_path / "events.json"
-        events_path.write_text(json.dumps([[1.0, "off"], [2.0, "on"]]))
-        session_path = tmp_path / "session.json"
-        run(capsys, "synth", "--output", str(session_path),
-            "--events", str(events_path), "--duration", "3.0")
-        records = json.loads(session_path.read_text())
-        session_path.write_text(json.dumps(records[::-1]))
+        session_path, doc = press_session_file(capsys, tmp_path)
+        doc["timestamps_s"].reverse()
+        doc["magnitudes_db"].reverse()
+        session_path.write_text(json.dumps(doc))
         code, out, err = run(
             capsys, "decode", "--session", str(session_path), "--profile", "press"
         )
         assert code == 1
         assert out == "" and "timestamp_s" in err
+
+    def test_decode_rejects_reversed_legacy_session(self, capsys, tmp_path):
+        session_path, doc = press_session_file(capsys, tmp_path)
+        records = [
+            {"timestamp_s": t, "frequencies_hz": doc["frequencies_hz"], "magnitudes_db": m}
+            for t, m in zip(doc["timestamps_s"], doc["magnitudes_db"])
+        ]
+        session_path.write_text(json.dumps(records[::-1]))
+        code, out, err = run(
+            capsys, "decode", "--session", str(session_path), "--profile", "press"
+        )
+        assert code == 1
+        assert out == "" and "record 1: timestamp_s" in err
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d.pop("frequencies_hz"), "no 'frequencies_hz'"),
+            (lambda d: d.pop("timestamps_s"), "no 'timestamps_s'"),
+            (lambda d: d.pop("magnitudes_db"), "no 'magnitudes_db'"),
+            (lambda d: d["magnitudes_db"][3].pop(), "magnitudes_db"),
+            (lambda d: d["magnitudes_db"].pop(), "one row of 51 values per timestamp"),
+            (lambda d: d["timestamps_s"].append(3.0), "one row of 51 values per timestamp"),
+            (lambda d: d["magnitudes_db"][2].__setitem__(5, float("nan")), "finite"),
+            (lambda d: d["magnitudes_db"][2].__setitem__(5, float("-inf")), "finite"),
+            (lambda d: d["timestamps_s"].__setitem__(4, float("inf")), "record 4: timestamp_s"),
+            (lambda d: d["timestamps_s"].__setitem__(0, -0.2), "record 0: timestamp_s"),
+            (lambda d: d["timestamps_s"].__setitem__(6, 0.4), "record 6: timestamp_s"),
+            (lambda d: d.__setitem__("frequencies_hz", "grid"), "frequencies_hz"),
+            (lambda d: d["frequencies_hz"].reverse(), "increasing"),
+        ],
+        ids=[
+            "no-grid", "no-timestamps", "no-magnitudes", "ragged-row", "missing-row",
+            "extra-timestamp", "nan", "minus-inf", "infinite-time", "negative-time",
+            "decreasing-time", "grid-not-a-list", "grid-reversed",
+        ],
+    )
+    def test_decode_rejects_malformed_columnar_session(self, capsys, tmp_path, edit, message):
+        session_path, doc = press_session_file(capsys, tmp_path)
+        edit(doc)
+        session_path.write_text(json.dumps(doc))
+        with pytest.raises(DataFormatError, match=re.escape(message)):
+            session_from_json(session_path)
+        code, out, err = run(
+            capsys, "decode", "--session", str(session_path), "--profile", "press"
+        )
+        assert code == 1
+        assert out == "" and message in err
 
     def test_unknown_profile_name(self, capsys, tmp_path):
         session_path = tmp_path / "session.json"
@@ -230,6 +287,40 @@ class TestSynthDecode:
             capsys, "decode", "--session", str(session_path), "--profile", "dial"
         )
         assert code == 1 and "error" in err
+
+
+class TestParser:
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_calls_see_only_their_own_arguments(self, capsys, monkeypatch):
+        """The cached parser carries nothing from one main() call into the
+        next: each namespace holds its own subcommand's options, with the
+        defaults for those it did not give."""
+        seen = []
+        for name in cli._COMMANDS:
+            monkeypatch.setitem(cli._COMMANDS, name, lambda args: seen.append(vars(args)) or 0)
+        assert main(["synth", "--output", "a.json", "--seed", "7", "--events", "e.json"]) == 0
+        assert main(["detect", "s.csv", "--threshold", "0.05"]) == 0
+        assert main(["synth", "--output", "b.csv"]) == 0
+        assert main(["decode", "--session", "s.json", "--profile", "press",
+                     "--confirm-frames", "3"]) == 0
+        assert main(["decode", "--session", "t.json", "--profile", "slide"]) == 0
+        synth_defaults = {
+            "command": "synth", "f0": 29e6, "coupling": defaults.K_REFERENCE, "turns": 8,
+            "noise_sigma": defaults.NOISE_SIGMA_DB, "seed": 0, "time": 0.0, "events": None,
+            "profile": "press", "duration": None,
+        }
+        assert seen == [
+            {**synth_defaults, "output": "a.json", "seed": 7, "events": "e.json"},
+            {"command": "detect", "sweep": "s.csv", "threshold": 0.05,
+             "baseline_order": DetectorConfig.baseline_order},
+            {**synth_defaults, "output": "b.csv"},
+            {"command": "decode", "session": "s.json", "profile": "press",
+             "confirm_frames": 3, "output": None},
+            {"command": "decode", "session": "t.json", "profile": "slide",
+             "confirm_frames": 2, "output": None},
+        ]
 
 
 class TestEvaluate:

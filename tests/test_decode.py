@@ -11,7 +11,6 @@ from pitkit.decode import (
     DebounceConfig,
     InputEvent,
     PROFILE_PRESETS,
-    ProfileState,
     RingProfile,
     classify_state,
     decode_scroll,

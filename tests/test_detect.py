@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pitkit import defaults
+from pitkit import defaults, detect
 from pitkit.decode import PROFILE_PRESETS, decode_stream
 from pitkit.detect import (
     BLOCK_POINTS,
@@ -403,7 +403,7 @@ class TestDetectStream:
         coarse = press_session(60e3, 1, 20.0)  # 100 frames: blocks of 80
         fine = press_session(7.5e3, 2, 4.0)  # 20 frames: blocks of 10
         assert len(coarse) > BLOCK_POINTS // 51
-        train = coarse[:50] + fine + coarse[50:]
+        train = [*coarse[:50], *fine, *coarse[50:]]
         out = list(detect_stream(iter(train)))
         assert [s for s, _, _ in out] == train
         for sweep, residual, peaks in out:
@@ -420,7 +420,7 @@ class TestDetectStream:
         first = press_session(60e3, 3, 24.0)
         second = shifted(press_session(7.5e3, 4, 12.0), 24.0)
         third = shifted(press_session(30e3, 5, 12.0), 36.0)
-        whole = decode_stream(first + second + third, press)
+        whole = decode_stream([*first, *second, *third], press)
         parts = [e for part in (first, second, third) for e in decode_stream(part, press)]
         assert len(whole) == 2 * (6 + 3 + 3)
         assert whole == parts
@@ -443,7 +443,74 @@ class TestDetectStream:
             )
 
         first, second = session(60e3, 6), shifted(session(7.5e3, 7), 5.0)
-        whole = decode_stream(first + second, scroll)
+        whole = decode_stream([*first, *second], scroll)
         parts = decode_stream(first, scroll) + decode_stream(second, scroll)
         assert [e.step for e in whole] == [1, 1, 1, 1, 1, 1]
         assert whole == parts
+
+
+def assert_same_stream(got, expected):
+    assert len(got) == len(expected)
+    for (s1, r1, p1), (s2, r2, p2) in zip(got, expected):
+        assert s1.timestamp == s2.timestamp
+        assert np.array_equal(s1.magnitudes_db, s2.magnitudes_db)
+        assert np.array_equal(r1, r2)
+        assert p1 == p2
+
+
+class TestDetectStreamOnBlock:
+    @pytest.mark.parametrize(
+        "step, frames",
+        [(60e3, 0), (60e3, 1), (60e3, 170), (7.5e3, 0), (7.5e3, 1), (7.5e3, 23)],
+        ids=["51pt-empty", "51pt-one", "51pt-long", "401pt-empty", "401pt-one", "401pt-long"],
+    )
+    def test_block_equals_its_rows(self, step, frames):
+        """Every row comes back once, in order, with what the gathering path
+        gives for the list of rows; 170 rows on 51 points and 23 on 401
+        span three blocks, the last one partial."""
+        block = press_session(step, 8, frames / 5.0)
+        assert len(block) == frames
+        if frames > 1:
+            assert frames > BLOCK_POINTS // len(block.frequencies)
+        got = list(detect_stream(block))
+        assert_same_stream(got, list(detect_stream(list(block))))
+        assert [s.timestamp for s, _, _ in got] == block.timestamps.tolist()
+
+    def test_block_goes_to_detect_block_as_views(self, monkeypatch):
+        """No gathering and no copy: each detect_block call gets a view of
+        the block's own magnitudes."""
+        block = press_session(60e3, 9, 40.0)
+        calls = []
+        original = detect.detect_block
+
+        def spy(frequencies, magnitudes, cfg):
+            calls.append(
+                (frequencies is block.frequencies, np.shares_memory(magnitudes, block.magnitudes_db))
+            )
+            return original(frequencies, magnitudes, cfg)
+
+        monkeypatch.setattr(detect, "detect_block", spy)
+        monkeypatch.setattr(detect, "_detect_sweeps", None)
+        assert len(list(detect_stream(block))) == 200
+        assert calls == [(True, True)] * 3
+
+    @pytest.mark.parametrize("name", sorted(PROFILE_PRESETS))
+    def test_decode_block_equals_rows(self, name):
+        profile = PROFILE_PRESETS[name]
+        labels = [s.label for s in profile.states]
+        script = [(1.0 + 1.2 * i, label) for i, label in enumerate(labels[1:] + labels[:1])]
+        inductance, resistance, n_caps = defaults.TURN_TABLE[8]
+        block = scripted_session(
+            script,
+            profile,
+            SweepConfig(seed=10),
+            reader=defaults.reader_coil(),
+            bridge=defaults.bridge_config(),
+            sensor_inductance=inductance,
+            sensor_resistance=resistance + n_caps * defaults.CAPACITOR_ESR_OHM,
+            duration=script[-1][0] + 2.0,
+            disturb=DisturbanceModel(noise_sigma=defaults.NOISE_SIGMA_DB),
+        )
+        events = decode_stream(block, profile)
+        assert events
+        assert events == decode_stream(list(block), profile)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from pitkit import defaults, experiments
-from pitkit.circuit import CoupledPair, capacitance_for_resonance
+from pitkit.circuit import CoupledPair
 from pitkit.decode import PRESS_PROFILE, foreign_resonator
 from pitkit.detect import compute_snr, detect_block, detect_peaks
 from pitkit.experiments import (
@@ -122,6 +122,48 @@ class TestCalibrateCoupling:
         k_lo = calibrate_coupling(8.0, sensor, reader, bridge, cfg)
         k_hi = calibrate_coupling(14.0, sensor, reader, bridge, cfg)
         assert k_hi > k_lo
+
+    def test_each_coupling_synthesized_once(self, monkeypatch):
+        """Both bisections start from the same bracket; their shared steps
+        are synthesized and detected once per call (74 of 83 at seed 0)."""
+        couplings = []
+        original = experiments.synthesize_sweep
+
+        def counting(cfg, pair, *args, **kwargs):
+            couplings.append(pair.coupling)
+            return original(cfg, pair, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "synthesize_sweep", counting)
+        sensor = defaults.ring_coil(28.0e6, 7)
+        calibrate_coupling(
+            16.0, sensor, defaults.reader_coil(), defaults.bridge_config(), SweepConfig(seed=0)
+        )
+        assert len(couplings) == len(set(couplings)) == 74
+
+    @pytest.mark.parametrize(
+        "target, seed, k_hex",
+        [
+            (10.0, 0, "0x1.566b5db73c72dp-11"),
+            (10.0, 1, "0x1.57fca8a4d8706p-11"),
+            (10.0, 2, "0x1.594c4f2581a1ap-11"),
+            (12.0, 0, "0x1.780e7a895a00bp-11"),
+            (12.0, 1, "0x1.79e9e50ee4566p-11"),
+            (12.0, 2, "0x1.7ae754ffa6da2p-11"),
+            (16.0, 0, "0x1.b2f21c1bb3578p-11"),
+            (16.0, 1, "0x1.b42d193a8adc4p-11"),
+            (16.0, 2, "0x1.b56c409edce1cp-11"),
+            (20.0, 0, "0x1.e4f6280857bd8p-11"),
+            (20.0, 1, "0x1.e7c89f82fe580p-11"),
+            (20.0, 2, "0x1.e89276bda04fbp-11"),
+        ],
+    )
+    def test_calibrated_coupling_is_pinned(self, target, seed, k_hex):
+        """Bit-identical to the unmemoised bisection (7-turn ring at 28 MHz)."""
+        sensor = defaults.ring_coil(28.0e6, 7)
+        k = calibrate_coupling(
+            target, sensor, defaults.reader_coil(), defaults.bridge_config(), SweepConfig(seed=seed)
+        )
+        assert k.hex() == k_hex
 
     def test_unreachable_target_raises(self):
         cfg = SweepConfig(seed=0)

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from pitkit import defaults, synth
 from pitkit.bridge import bridge_output, to_db_magnitude
 from pitkit.circuit import CoilParams, CoupledPair, capacitance_for_resonance, load_impedance
-from pitkit.detect import DetectorConfig, detect_peaks, fit_baseline
+from pitkit.detect import detect_peaks, fit_baseline
 from pitkit.synth import (
     DataFormatError,
     DisturbanceModel,
@@ -31,6 +31,24 @@ from pitkit.synth import (
 from pitkit.trace import Sweep, SweepBlock
 
 QUIET = DisturbanceModel(noise_sigma=0.0)
+
+
+def noisy_session(step=60e3, seed=4):
+    """A 4 s press session with a press from 1 s to 2.6 s."""
+    from pitkit.decode import PROFILE_PRESETS
+
+    inductance, resistance, n_caps = defaults.TURN_TABLE[8]
+    return scripted_session(
+        [(1.0, "off"), (2.6, "on")],
+        PROFILE_PRESETS["press"],
+        SweepConfig(step=step, seed=seed),
+        reader=defaults.reader_coil(),
+        bridge=defaults.bridge_config(),
+        sensor_inductance=inductance,
+        sensor_resistance=resistance + n_caps * defaults.CAPACITOR_ESR_OHM,
+        duration=4.0,
+        disturb=DisturbanceModel(noise_sigma=defaults.NOISE_SIGMA_DB),
+    )
 
 
 def ring(f0, turns=8):
@@ -368,6 +386,74 @@ class TestSerialization:
         path.write_text(json.dumps(records))
         assert [s.timestamp for s in session_from_json(path)] == [0.2, 0.2]
 
+    def test_columnar_round_trip_bit_exact(self, tmp_path):
+        block = noisy_session()
+        path = tmp_path / "session.json"
+        session_to_json(block, path)
+        doc = json.loads(path.read_text())
+        assert sorted(doc) == ["frequencies_hz", "magnitudes_db", "timestamps_s"]
+        assert len(doc["frequencies_hz"]) == 51 and len(doc["magnitudes_db"]) == len(block)
+        back = session_from_json(path)
+        assert isinstance(back, SweepBlock)
+        for name in ("frequencies", "magnitudes_db", "timestamps"):
+            assert getattr(back, name).tobytes() == getattr(block, name).tobytes()
+
+    def test_columnar_empty_session(self, tmp_path):
+        block = noisy_session()[:0]
+        path = tmp_path / "empty.json"
+        session_to_json(block, path)
+        back = session_from_json(path)
+        assert len(back) == 0 and np.array_equal(back.frequencies, block.frequencies)
+
+    def test_legacy_records_read_as_one_block(self, tmp_path):
+        """Array-of-records files, with inline points or sweep_file CSVs,
+        read to the block the columnar file holds, and decode to the
+        same events."""
+        from pitkit.decode import PROFILE_PRESETS, decode_stream
+
+        block = noisy_session()
+        inline = [
+            {
+                "timestamp_s": s.timestamp,
+                "frequencies_hz": s.frequencies.tolist(),
+                "magnitudes_db": s.magnitudes_db.tolist(),
+            }
+            for s in block
+        ]
+        (tmp_path / "csv").mkdir()
+        files = []
+        for i, s in enumerate(block):
+            sweep_to_csv(s, tmp_path / "csv" / f"{i}.csv")
+            files.append({"timestamp_s": s.timestamp, "sweep_file": f"csv/{i}.csv"})
+        press = PROFILE_PRESETS["press"]
+        expected = decode_stream(block, press)
+        assert [e.event for e in expected] == ["press-down", "press-up"]
+        for name, records in (("inline.json", inline), ("files.json", files)):
+            path = tmp_path / name
+            path.write_text(json.dumps(records))
+            back = session_from_json(path)
+            assert isinstance(back, SweepBlock)
+            for attr in ("frequencies", "magnitudes_db", "timestamps"):
+                assert getattr(back, attr).tobytes() == getattr(block, attr).tobytes()
+            assert decode_stream(back, press) == expected
+
+    @pytest.mark.parametrize("ref", [5, None, ["a.csv"]])
+    def test_legacy_sweep_file_must_be_a_path(self, tmp_path, ref):
+        path = tmp_path / "bad-ref.json"
+        path.write_text(json.dumps([{"timestamp_s": 0.0, "sweep_file": ref}]))
+        with pytest.raises(DataFormatError, match="record 0: sweep_file"):
+            session_from_json(path)
+
+    def test_legacy_grid_change_is_rejected(self, tmp_path):
+        records = [
+            {"timestamp_s": 0.0, "frequencies_hz": [1.0, 2.0], "magnitudes_db": [0.0, 0.0]},
+            {"timestamp_s": 0.2, "frequencies_hz": [1.0, 3.0], "magnitudes_db": [0.0, 0.0]},
+        ]
+        path = tmp_path / "two-grids.json"
+        path.write_text(json.dumps(records))
+        with pytest.raises(DataFormatError, match="record 1: .*one grid"):
+            session_from_json(path)
+
 
 class TestGridMemo:
     """Grid-only terms and drift phases are computed once and shared."""
@@ -523,6 +609,44 @@ class TestSynthesizeBlock:
             assert sweep.timestamp == i / 5.0
 
 
+    @pytest.mark.parametrize("step", [60e3, 30e3, 7.5e3], ids=["51pt", "101pt", "401pt"])
+    @pytest.mark.parametrize("name", ["press", "slide", "joystick", "scroll"])
+    def test_session_rows_equal_per_chunk_blocks(self, name, step):
+        """The one session block holds, row for row and bit for bit, what
+        synthesize_block gives for each chunk of at most BLOCK_POINTS
+        points, under noise and both drifts."""
+        from pitkit.decode import PROFILE_PRESETS
+        from pitkit.trace import BLOCK_POINTS
+
+        profile = PROFILE_PRESETS[name]
+        cfg = SweepConfig(step=step, seed=6)
+        inductance, resistance, _ = defaults.TURN_TABLE[8]
+        reader, bridge = defaults.reader_coil(), defaults.bridge_config()
+        disturb = DisturbanceModel(noise_sigma=0.002, amplitude_drift=0.01, frequency_drift=2e3)
+        labels = [s.label for s in profile.states]
+        events = [(1.0 + 2.0 * i, label) for i, label in enumerate(labels[1:] + labels[:1])]
+        duration = 18.0  # 90 frames: more than one chunk on every grid
+        block = scripted_session(
+            events, profile, cfg, reader=reader, bridge=bridge,
+            sensor_inductance=inductance, sensor_resistance=resistance,
+            duration=duration, disturb=disturb,
+        )
+        times = [i / cfg.acquisition_rate for i in range(int(round(duration * cfg.acquisition_rate)))]
+        pairs = []
+        for t in times:
+            label = ([profile.states[0].label] + [lb for te, lb in events if te <= t])[-1]
+            capacitance = capacitance_for_resonance(inductance, profile.frequency_of(label))
+            pairs.append(CoupledPair(reader, CoilParams(inductance, resistance, capacitance), 1e-3))
+        rows = BLOCK_POINTS // cfg.point_count
+        assert len(times) > rows
+        reference = np.concatenate([
+            synthesize_block(cfg, pairs[i : i + rows], bridge, disturb, times[i : i + rows]).magnitudes_db
+            for i in range(0, len(times), rows)
+        ])
+        assert block.magnitudes_db.tobytes() == reference.tobytes()
+        assert block.timestamps.tolist() == times
+
+
 GRID = np.linspace(27e6, 30e6, 51)
 
 
@@ -581,6 +705,54 @@ class TestSweepBlockValidation:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 1.0
+
+
+class TestSweepBlockIndexing:
+    def block(self):
+        return SweepBlock(GRID, np.arange(5 * 51, dtype=float).reshape(5, 51), [0.0, 0.2, 0.2, 0.6, 0.8])
+
+    def test_int_index_is_read_only_row_view(self):
+        block = self.block()
+        for i in (0, 3, -1, np.int64(2)):
+            row = block[i]
+            assert type(row) is Sweep
+            assert row.frequencies is block.frequencies
+            assert np.shares_memory(row.magnitudes_db, block.magnitudes_db)
+            assert np.array_equal(row.magnitudes_db, block.magnitudes_db[i])
+            assert row.timestamp == block.timestamps[i] and type(row.timestamp) is float
+            assert not row.magnitudes_db.flags.writeable
+        assert block[-1].timestamp == 0.8
+
+    def test_slice_is_read_only_block_view(self):
+        block = self.block()
+        for index in (slice(1, 4), slice(None, None, 2), slice(3, 99), slice(2, 2)):
+            part = block[index]
+            assert type(part) is SweepBlock
+            assert part.frequencies is block.frequencies
+            assert np.array_equal(part.magnitudes_db, block.magnitudes_db[index])
+            assert np.array_equal(part.timestamps, block.timestamps[index])
+            for array in (part.magnitudes_db, part.timestamps):
+                assert not array.flags.writeable
+                assert np.shares_memory(array, block.magnitudes_db) or np.shares_memory(
+                    array, block.timestamps
+                ) or array.size == 0
+        assert [s.timestamp for s in block[1:4]] == [0.2, 0.2, 0.6]
+
+    def test_views_are_not_validated_again(self, monkeypatch):
+        from pitkit import trace
+
+        block = self.block()
+        monkeypatch.setattr(trace, "_checked", None)
+        assert len(block[1:3]) == 2 and block[4].timestamp == 0.8 and len(list(block)) == 5
+
+    def test_bad_indices(self):
+        block = self.block()
+        with pytest.raises(IndexError):
+            block[5]
+        with pytest.raises(TypeError):
+            block[1.0]
+        with pytest.raises(ValueError, match="step"):
+            block[::-1]
 
 
 def test_synth_does_not_import_decode_at_run_time():
