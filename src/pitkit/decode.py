@@ -1,21 +1,36 @@
 """Mapping detected resonance peaks to ring switch states and input events.
 
 Each ring profile is a designed map from mechanical switch states to
-distinct resonant frequencies with a tolerance band per state.  A
-sequential state machine debounces per-sweep classifications and emits
-one event per confirmed transition; scroll rings route through a
-reed-transition decoder instead.
+distinct resonant frequencies with a tolerance band per state.  Every
+ring is decoded by one confirm-N debouncer over per-frame observations:
+the state label the frame's peaks classify to, or for the scroll ring
+the set of reeds with a peak in band.  A frame without an in-band peak
+observes the idle state; that one rule, in ``decode_stream``, is where a
+held press whose resonance fades under the detection threshold splits
+into release and re-press.  Press, slide and joystick rings name each
+confirmed transition; scroll rings step over the confirmed reed sets.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .detect import DetectorConfig, PeakReport, detect_stream
 
 KINDS = ("press", "slide", "joystick", "scroll")
+
+# Reed adjacency for the scroll ring: clockwise rotation activates the
+# reeds in a->b->c order.  The wraparound transitions (c->a clockwise,
+# a->c counterclockwise) continue an established rotation but are
+# ambiguous from rest, so they only count when a direction context
+# exists; any other jump resets the context.
+_CW_NEXT = {"reed-a": "reed-b", "reed-b": "reed-c", "reed-c": "reed-a"}
+_CCW_NEXT = {v: k for k, v in _CW_NEXT.items()}
+_WRAP_CW = ("reed-c", "reed-a")
+_WRAP_CCW = ("reed-a", "reed-c")
 
 
 @dataclass(frozen=True)
@@ -38,17 +53,21 @@ class RingProfile:
             s if isinstance(s, ProfileState) else ProfileState(*s) for s in self.states
         )
         object.__setattr__(self, "states", states)
-        freqs = [s.frequency for s in states]
-        if len(set(freqs)) != len(freqs):
-            raise ValueError("state frequencies must be distinct")
-        if len(freqs) > 1:
-            gaps = sorted(freqs)
-            min_gap = min(b - a for a, b in zip(gaps, gaps[1:]))
-            if not 0 < self.tolerance < min_gap / 2:
-                raise ValueError(
-                    f"tolerance {self.tolerance:g} Hz must be below half the "
-                    f"minimum state gap ({min_gap / 2:g} Hz)"
-                )
+        if not states:
+            raise ValueError("a profile needs at least one state")
+        if self.kind == "press" and len(states) != 2:
+            raise ValueError("a press profile has exactly two states: idle, then pressed")
+        if self.kind == "scroll" and sorted(s.label for s in states) != sorted(_CW_NEXT):
+            raise ValueError(f"a scroll profile's states are the reeds {', '.join(_CW_NEXT)}")
+        freqs = sorted(s.frequency for s in states)
+        if len(set(freqs)) != len(freqs) or not all(map(math.isfinite, freqs)):
+            raise ValueError("state frequencies must be finite and distinct")
+        half_gap = min((b - a for a, b in zip(freqs, freqs[1:])), default=math.inf) / 2
+        if not (0 < self.tolerance < half_gap and math.isfinite(self.tolerance)):
+            raise ValueError(
+                f"tolerance {self.tolerance:g} Hz must be finite, positive and "
+                f"below half the minimum state gap ({half_gap:g} Hz)"
+            )
 
     @property
     def idle_label(self) -> str:
@@ -200,17 +219,6 @@ def foreign_resonator(peaks: Sequence[PeakReport], profile: RingProfile) -> bool
     return strongest.peak_frequency > top + profile.tolerance
 
 
-# Reed adjacency for the scroll ring: clockwise rotation activates the
-# reeds in a->b->c order.  The wraparound transitions (c->a clockwise,
-# a->c counterclockwise) continue an established rotation but are
-# ambiguous from rest, so they only count when a direction context
-# exists; any other jump resets the context.
-_CW_NEXT = {"reed-a": "reed-b", "reed-b": "reed-c", "reed-c": "reed-a"}
-_CCW_NEXT = {v: k for k, v in _CW_NEXT.items()}
-_WRAP_CW = ("reed-c", "reed-a")
-_WRAP_CCW = ("reed-a", "reed-c")
-
-
 def decode_scroll(activation_sequence: Sequence[frozenset]) -> list[tuple]:
     """Signed 45-degree steps from a time-ordered active-reed sequence.
 
@@ -251,16 +259,13 @@ def decode_scroll(activation_sequence: Sequence[frozenset]) -> list[tuple]:
     return steps
 
 
-def _event_name(profile: RingProfile, label: str, previous: Optional[str]) -> Optional[str]:
+def _event_name(profile: RingProfile, new: str) -> Optional[str]:
+    """The event a confirmed transition into ``new`` emits, or None."""
     if profile.kind == "press":
-        if label == "off":
-            return "press-down"
-        if label == "on" and previous == "off":
-            return "press-up"
+        return "press-up" if new == profile.idle_label else "press-down"
+    if new == profile.idle_label:
         return None
-    if label == profile.idle_label:
-        return None
-    return f"{profile.kind}-{label}"
+    return f"{profile.kind}-{new}"
 
 
 def decode_stream(
@@ -272,96 +277,62 @@ def decode_stream(
     """Decode a time-ordered sweep train, a ``SweepBlock`` or an iterable
     of sweeps, into debounced input events.
 
-    A state change must persist for ``confirm_frames`` consecutive
-    sweeps before it is emitted; shorter excursions produce nothing.
-    Re-entering the confirmed state emits nothing extra.  For the
-    return to idle, frames with no in-band peak count as supporting
-    evidence alongside explicit idle observations: the resonance of a
-    held switch is either present or the switch is no longer held.
+    One rule debounces every ring.  A frame's observation is
+    ``classify_state`` of its peaks, and a frame without an in-band peak
+    observes the idle state (the idle label; for scroll, no active reed).
+    An observation equal to the confirmed state clears the candidate; one
+    equal to the candidate extends its run, and any other starts a new
+    run of one.  A run of ``confirm_frames`` confirms the candidate, so
+    shorter excursions produce nothing.  Each confirmed transition keeps
+    its frame's time and highest peak SNR.  Press rings emit press-down on
+    leaving idle and press-up on returning; slide and joystick rings emit
+    each non-idle state they enter; the scroll ring steps over the
+    confirmed reed sets with ``decode_scroll``.
+
+    The ``None -> idle`` line makes a frame without a peak count toward
+    release.  It is why a held press whose resonance stays under the
+    detection threshold for ``confirm_frames`` frames decodes as
+    press-down, press-up, press-down; a fix for that belongs there.
 
     Detection runs on blocks of consecutive sweeps that share a grid: row
     views of a ``SweepBlock``, or gathered sweeps (see ``detect_stream``);
     the debouncer then steps frame by frame.
     """
-    idle = profile.idle_label
-    if profile.kind == "scroll":
-        return _decode_scroll_stream(sweeps, profile, det, deb)
-
-    events: list[InputEvent] = []
-    confirmed = idle
-    candidate: Optional[str] = None
-    run = 0
-    idle_run = 0
+    scroll = profile.kind == "scroll"
+    idle = frozenset() if scroll else profile.idle_label
+    confirmed, candidate, run = idle, None, 0
+    transitions: list[tuple] = []  # (time, new state, SNR)
     for sweep, _, peaks in detect_stream(sweeps, det):
         observed = classify_state(peaks, profile)
-        idle_run = idle_run + 1 if observed in (None, idle) else 0
-
-        if observed is None or observed == confirmed:
-            candidate, run = None, 0
-        elif observed == candidate:
-            run += 1
-        else:
-            candidate, run = observed, 1
-
-        if confirmed != idle and idle_run >= deb.confirm_frames:
-            name = _event_name(profile, idle, confirmed)
-            confirmed = idle
-            candidate, run, idle_run = None, 0, 0
-            if name is not None:
-                confidence = max((p.snr for p in peaks), default=0.0)
-                events.append(
-                    InputEvent(
-                        time=float(sweep.timestamp),
-                        ring=profile.name,
-                        event=name,
-                        confidence=confidence,
-                    )
-                )
-        elif candidate is not None and candidate != idle and run >= deb.confirm_frames:
-            name = _event_name(profile, candidate, confirmed)
-            confirmed = candidate
-            candidate, run = None, 0
-            if name is not None:
-                strongest = max(peaks, key=lambda p: p.peak_height)
-                events.append(
-                    InputEvent(
-                        time=float(sweep.timestamp),
-                        ring=profile.name,
-                        event=name,
-                        confidence=strongest.snr,
-                    )
-                )
-    return events
-
-
-def _decode_scroll_stream(sweeps, profile, det, deb) -> list[InputEvent]:
-    confirmed: frozenset = frozenset()
-    candidate: Optional[frozenset] = None
-    run = 0
-    timeline: list[tuple] = []  # (timestamp, confirmed set, snr)
-    for sweep, _, peaks in detect_stream(sweeps, det):
-        observed = classify_state(peaks, profile)
-        snr = max((p.snr for p in peaks), default=0.0)
+        if observed is None:  # a frame without a peak counts toward release
+            observed = idle
         if observed == confirmed:
             candidate, run = None, 0
-        else:
-            if observed == candidate:
-                run += 1
-            else:
-                candidate, run = observed, 1
-            if run >= deb.confirm_frames:
-                confirmed = observed
-                candidate, run = None, 0
-        timeline.append((float(sweep.timestamp), confirmed, snr))
+            continue
+        run = run + 1 if observed == candidate else 1
+        candidate = observed
+        if run >= deb.confirm_frames:
+            snr = max((p.snr for p in peaks), default=0.0)
+            transitions.append((float(sweep.timestamp), candidate, snr))
+            confirmed, candidate, run = candidate, None, 0
 
-    steps = decode_scroll([entry[1] for entry in timeline])
+    if scroll:
+        steps = decode_scroll([new for _, new, _ in transitions])
+        return [
+            InputEvent(
+                time=transitions[i][0],
+                ring=profile.name,
+                event="scroll-cw-45deg" if step > 0 else "scroll-ccw-45deg",
+                confidence=transitions[i][2],
+                step=step,
+            )
+            for i, step in steps
+        ]
     events = []
-    for idx, step in steps:
-        t, _, snr = timeline[idx]
-        name = "scroll-cw-45deg" if step > 0 else "scroll-ccw-45deg"
-        events.append(
-            InputEvent(time=t, ring=profile.name, event=name, confidence=snr, step=step)
-        )
+    for t, new, snr in transitions:
+        name = _event_name(profile, new)
+        if name is not None:
+            events.append(InputEvent(time=t, ring=profile.name, event=name, confidence=snr))
     return events
 
 

@@ -221,6 +221,54 @@ class TestSynthDecode:
         ]
         assert names == ["press-down", "press-up"]
 
+    def test_custom_label_press_profile(self, capsys, tmp_path):
+        """Press events follow the transition, whatever the states are called."""
+        profile_path = tmp_path / "thumb.json"
+        profile_path.write_text(json.dumps({
+            "name": "thumb", "kind": "press", "tolerance_hz": 45e3,
+            "states": [{"label": "idle", "frequency_hz": 28.9e6},
+                       {"label": "down", "frequency_hz": 28.0e6}],
+        }))
+        events_path = tmp_path / "events.json"
+        events_path.write_text(json.dumps([[1.0, "down"], [3.0, "idle"]]))
+        session_path = tmp_path / "session.json"
+        assert run(capsys, "synth", "--output", str(session_path), "--events", str(events_path),
+                   "--profile", str(profile_path), "--duration", "5.0")[0] == 0
+        code, out, _ = run(
+            capsys, "decode", "--session", str(session_path), "--profile", str(profile_path)
+        )
+        assert code == 0
+        assert [json.loads(line)["event"] for line in out.splitlines()] == [
+            "press-down", "press-up"
+        ]
+
+    @pytest.mark.parametrize(
+        "kind, tolerance, states, message",
+        [
+            ("press", 45e3, [], "at least one state"),
+            ("slide", -5.0, [("idle", 28.9e6)], "tolerance -5 Hz must be finite, positive"),
+            ("slide", float("nan"), [("idle", 28.9e6)], "tolerance nan Hz must be finite"),
+            ("slide", 45e3, [("idle", float("nan"))], "frequencies must be finite"),
+            ("scroll", 45e3, [("a", 29.3e6), ("b", 28.9e6), ("c", 28.6e6)],
+             "states are the reeds reed-a, reed-b, reed-c"),
+            ("press", 45e3, [("on", 28.9e6), ("off", 28.0e6), ("half", 28.4e6)],
+             "exactly two states"),
+        ],
+        ids=["no-states", "negative-tolerance", "nan-tolerance", "nan-frequency", "scroll-labels", "press-three-states"],
+    )
+    def test_decode_rejects_malformed_profile(self, capsys, tmp_path, kind, tolerance, states, message):
+        session_path, _ = press_session_file(capsys, tmp_path)
+        profile_path = tmp_path / "profile.json"
+        profile_path.write_text(json.dumps({
+            "name": "bad", "kind": kind, "tolerance_hz": tolerance,
+            "states": [{"label": label, "frequency_hz": f} for label, f in states],
+        }))
+        code, out, err = run(
+            capsys, "decode", "--session", str(session_path), "--profile", str(profile_path)
+        )
+        assert code == 1
+        assert out == "" and err.startswith("error: ") and message in err
+
     def test_decode_rejects_reversed_session(self, capsys, tmp_path):
         session_path, doc = press_session_file(capsys, tmp_path)
         doc["timestamps_s"].reverse()

@@ -2,11 +2,15 @@
 
 import itertools
 import json
+from types import SimpleNamespace
+from typing import Optional
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pitkit import decode, defaults
 from pitkit.decode import (
     DebounceConfig,
     InputEvent,
@@ -18,7 +22,8 @@ from pitkit.decode import (
     events_to_jsonl,
     foreign_resonator,
 )
-from pitkit.detect import PeakReport
+from pitkit.detect import DetectorConfig, PeakReport, detect_stream
+from pitkit.synth import DisturbanceModel, SweepConfig, scripted_session
 from pitkit.trace import Sweep
 
 GRID = 27e6 + 60e3 * np.arange(51)
@@ -186,6 +191,164 @@ class TestDecodeStream:
     def test_debounce_validation(self):
         with pytest.raises(ValueError):
             DebounceConfig(confirm_frames=0)
+
+
+# Reference: the two state machines decode_stream replaced, kept verbatim
+# (names prefixed) so the one-debouncer decoder can be checked against them.
+def _reference_event_name(profile: RingProfile, label: str, previous: Optional[str]) -> Optional[str]:
+    if profile.kind == "press":
+        if label == "off":
+            return "press-down"
+        if label == "on" and previous == "off":
+            return "press-up"
+        return None
+    if label == profile.idle_label:
+        return None
+    return f"{profile.kind}-{label}"
+
+
+def reference_decode_stream(
+    sweeps,
+    profile: RingProfile,
+    det: DetectorConfig = DetectorConfig(),
+    deb: DebounceConfig = DebounceConfig(),
+) -> list[InputEvent]:
+    idle = profile.idle_label
+    if profile.kind == "scroll":
+        return _reference_decode_scroll_stream(sweeps, profile, det, deb)
+
+    events: list[InputEvent] = []
+    confirmed = idle
+    candidate: Optional[str] = None
+    run = 0
+    idle_run = 0
+    for sweep, _, peaks in detect_stream(sweeps, det):
+        observed = classify_state(peaks, profile)
+        idle_run = idle_run + 1 if observed in (None, idle) else 0
+
+        if observed is None or observed == confirmed:
+            candidate, run = None, 0
+        elif observed == candidate:
+            run += 1
+        else:
+            candidate, run = observed, 1
+
+        if confirmed != idle and idle_run >= deb.confirm_frames:
+            name = _reference_event_name(profile, idle, confirmed)
+            confirmed = idle
+            candidate, run, idle_run = None, 0, 0
+            if name is not None:
+                confidence = max((p.snr for p in peaks), default=0.0)
+                events.append(
+                    InputEvent(
+                        time=float(sweep.timestamp),
+                        ring=profile.name,
+                        event=name,
+                        confidence=confidence,
+                    )
+                )
+        elif candidate is not None and candidate != idle and run >= deb.confirm_frames:
+            name = _reference_event_name(profile, candidate, confirmed)
+            confirmed = candidate
+            candidate, run = None, 0
+            if name is not None:
+                strongest = max(peaks, key=lambda p: p.peak_height)
+                events.append(
+                    InputEvent(
+                        time=float(sweep.timestamp),
+                        ring=profile.name,
+                        event=name,
+                        confidence=strongest.snr,
+                    )
+                )
+    return events
+
+
+def _reference_decode_scroll_stream(sweeps, profile, det, deb) -> list[InputEvent]:
+    confirmed: frozenset = frozenset()
+    candidate: Optional[frozenset] = None
+    run = 0
+    timeline: list[tuple] = []  # (timestamp, confirmed set, snr)
+    for sweep, _, peaks in detect_stream(sweeps, det):
+        observed = classify_state(peaks, profile)
+        snr = max((p.snr for p in peaks), default=0.0)
+        if observed == confirmed:
+            candidate, run = None, 0
+        else:
+            if observed == candidate:
+                run += 1
+            else:
+                candidate, run = observed, 1
+            if run >= deb.confirm_frames:
+                confirmed = observed
+                candidate, run = None, 0
+        timeline.append((float(sweep.timestamp), confirmed, snr))
+
+    steps = decode_scroll([entry[1] for entry in timeline])
+    events = []
+    for idx, step in steps:
+        t, _, snr = timeline[idx]
+        name = "scroll-cw-45deg" if step > 0 else "scroll-ccw-45deg"
+        events.append(
+            InputEvent(time=t, ring=profile.name, event=name, confidence=snr, step=step)
+        )
+    return events
+
+
+def passthrough(frames, det):
+    return frames
+
+
+@st.composite
+def peak_stream(draw, profile):
+    """Detector output for a random frame train: runs of repeated frames,
+    each frame holding 0-3 peaks in or out of the profile's bands.  The
+    peaks of one frame share a residual sigma, as ``detect_block``'s do."""
+    in_band = st.sampled_from(profile.states).flatmap(
+        lambda s: st.floats(s.frequency - profile.tolerance, s.frequency + profile.tolerance)
+    )
+    frequency = st.one_of(in_band, st.floats(26.5e6, 30.5e6))
+    rows = []
+    for count in draw(st.lists(st.integers(1, 5), max_size=12)):
+        sigma = draw(st.floats(1e-4, 1e-2))
+        heights = draw(st.lists(st.floats(1e-3, 0.2), max_size=3))
+        rows += [[PeakReport(draw(frequency), h, h / sigma, sigma) for h in heights]] * count
+    return [(SimpleNamespace(timestamp=i / 5.0), None, peaks) for i, peaks in enumerate(rows)]
+
+
+class TestOneDebouncer:
+    @given(st.data(), st.sampled_from(sorted(PROFILE_PRESETS)), st.integers(1, 3))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_on_peak_streams(self, data, name, confirm_frames):
+        profile = PROFILE_PRESETS[name]
+        frames = data.draw(peak_stream(profile))
+        deb = DebounceConfig(confirm_frames=confirm_frames)
+        with mock.patch.object(decode, "detect_stream", passthrough), \
+                mock.patch.dict(globals(), detect_stream=passthrough):
+            got = decode_stream(frames, profile, deb=deb)
+            want = reference_decode_stream(frames, profile, deb=deb)
+        assert [e.to_json() for e in got] == [e.to_json() for e in want]
+
+    @pytest.mark.parametrize("name", sorted(PROFILE_PRESETS))
+    def test_matches_reference_on_synthesized_sessions(self, name):
+        """The same events from real detector output, whose peaks share a
+        row sigma, across every state of each shipped profile."""
+        profile = PROFILE_PRESETS[name]
+        script = [(0.6 + 0.8 * i, s.label) for i, s in enumerate(profile.states[1:] + profile.states)]
+        inductance, resistance, n_caps = defaults.TURN_TABLE[8]
+        sweeps = scripted_session(
+            script, profile, SweepConfig(seed=1),
+            reader=defaults.reader_coil(), bridge=defaults.bridge_config(),
+            sensor_inductance=inductance,
+            sensor_resistance=resistance + n_caps * defaults.CAPACITOR_ESR_OHM,
+            duration=script[-1][0] + 1.0,
+            disturb=DisturbanceModel(noise_sigma=defaults.NOISE_SIGMA_DB),
+        )
+        got = decode_stream(sweeps, profile)
+        assert got
+        assert [e.to_json() for e in got] == [
+            e.to_json() for e in reference_decode_stream(sweeps, profile)
+        ]
 
 
 def oracle_scroll(frames):
