@@ -145,11 +145,21 @@ def _masked_baseline(v: np.ndarray, y: np.ndarray) -> np.ndarray:
     Each row stops on its own: when its robust sigma reaches the floor,
     when its mask would leave too few points, when its mask is
     unchanged, or after the last pass.  Each pass refits the rows still
-    going together."""
+    going together.
+
+    A fit depends only on its row and its mask, so a row whose new mask
+    equals its mask of two passes back would flip between those two
+    masks and fits until the last pass.  It stops at once, on the fit
+    that last pass would leave.  The first fit is unweighted, and its
+    bits can differ from a fit on an all-true mask, so it never closes a
+    cycle."""
     base = _fit(v, y)
     keep = np.ones(y.shape, dtype=bool)
+    # each row's mask and fit one pass back
+    prev_keep = np.empty_like(keep)
+    prev_base = np.empty_like(base)
     rows = np.arange(len(y))
-    for _ in range(_MASK_PASSES):
+    for p in range(1, _MASK_PASSES + 1):
         residual = y[rows] - base[rows]
         med, sigma = _median_and_sigma(residual)
         # one-sided: resonance signatures are positive bumps, and points
@@ -165,11 +175,20 @@ def _masked_baseline(v: np.ndarray, y: np.ndarray) -> np.ndarray:
             & (new_keep.sum(axis=1) > v.shape[1])
             & (new_keep != keep[rows]).any(axis=1)
         )
-        rows = rows[go]
+        rows, new_keep = rows[go], new_keep[go]
+        if p >= 3:
+            cycled = (new_keep == prev_keep[rows]).all(axis=1)
+            # an even number of passes after this one ends the cycle on
+            # the fit of two passes back, an odd number on the current fit
+            if (_MASK_PASSES - p) % 2 == 0:
+                base[rows[cycled]] = prev_base[rows[cycled]]
+            rows, new_keep = rows[~cycled], new_keep[~cycled]
         if not len(rows):
             break
-        keep[rows] = new_keep[go]
-        base[rows] = _fit(v, y[rows], keep[rows])
+        prev_keep[rows] = keep[rows]
+        prev_base[rows] = base[rows]
+        keep[rows] = new_keep
+        base[rows] = _fit(v, y[rows], new_keep)
     return base
 
 

@@ -26,7 +26,6 @@ from .synth import (
     coupling_from_geometry,
     scripted_session,
     synthesize_block,
-    synthesize_sweep,
 )
 
 SNR_TRACE_COUNT = 100
@@ -98,6 +97,21 @@ def measure_snr(
     return compute_snr(traces_with, traces_without, at_frequency)
 
 
+# Levels of the bisection tree that ``calibrate_coupling`` synthesizes
+# and detects in one block: 2**BISECT_LEVELS - 1 couplings, of which the
+# walk visits BISECT_LEVELS.
+BISECT_LEVELS = 2
+
+
+def _bisection_tree(lo: float, hi: float, levels: int) -> list[float]:
+    """Every midpoint a geometric bisection of (lo, hi) can visit in its
+    next ``levels`` steps."""
+    if not levels:
+        return []
+    mid = math.sqrt(lo * hi)
+    return [mid, *_bisection_tree(lo, mid, levels - 1), *_bisection_tree(mid, hi, levels - 1)]
+
+
 def calibrate_coupling(
     target_snr: float,
     sensor: CoilParams,
@@ -128,19 +142,28 @@ def calibrate_coupling(
     # first steps; each k is synthesized and detected once per call.
     residuals: dict[float, np.ndarray] = {}
 
-    def quiet_residual(k: float) -> np.ndarray:
-        if k not in residuals:
-            s = synthesize_sweep(cfg, CoupledPair(reader, sensor, k), bridge, quiet)
-            residuals[k] = detect_block(s.frequencies, s.magnitudes_db[None, :], det)[0][0]
-        return residuals[k]
+    def quiet_residuals(ks: list[float]) -> None:
+        ks = [k for k in ks if k not in residuals]
+        if ks:
+            block = synthesize_block(
+                cfg, [CoupledPair(reader, sensor, k) for k in ks], bridge, quiet, [0.0] * len(ks)
+            )
+            rows = detect_block(block.frequencies, block.magnitudes_db, det)[0]
+            residuals.update(zip(ks, rows))
 
     def bisect(target: float) -> float:
+        # Speculative: each block holds the next levels of the bisection
+        # tree, every k the walk can reach from the bracket.  Rows do not
+        # depend on their block, so the walk is the one-k-at-a-time one.
         lo, hi = 1e-6, 0.05
-        if quiet_residual(hi).max() < target:
+        quiet_residuals([hi, *_bisection_tree(lo, hi, BISECT_LEVELS)])
+        if residuals[hi].max() < target:
             raise ValueError("target SNR unreachable within coupling bounds")
-        for _ in range(40):
+        for step in range(40):
+            if step % BISECT_LEVELS == 0:
+                quiet_residuals(_bisection_tree(lo, hi, min(BISECT_LEVELS, 40 - step)))
             mid = math.sqrt(lo * hi)
-            if quiet_residual(mid).max() < target:
+            if residuals[mid].max() < target:
                 lo = mid
             else:
                 hi = mid
@@ -150,7 +173,8 @@ def calibrate_coupling(
     # Detection is decided by the residual in the few grid bins around the
     # resonance, so the deficit is measured on that window rather than on
     # the sweep-wide maximum (which rides the highest noise excursion).
-    peak_bin = int(np.argmax(quiet_residual(k0)))
+    quiet_residuals([k0])
+    peak_bin = int(np.argmax(residuals[k0]))
     lo_bin, hi_bin = max(peak_bin - 1, 0), peak_bin + 2
     frames = 240
     noisy_sweeps = synthesize_block(

@@ -6,7 +6,8 @@ metal-proximity perturbations to produce traces the detector consumes.
 
 Generation is a pure function of (configs, seed, timestamp): the noise
 generator is re-seeded per sweep from (seed, timestamp), so sweeps can
-be produced in any order, block or process and stay bit-identical.
+be produced in any order, block or process and stay bit-identical.  A
+block computes the seeds of all its rows at once (``_pcg64_states``).
 Sweeps are made in blocks on one grid (``synthesize_block``), where each
 distinct ring state is evaluated once.  The terms that depend only on
 the grid, reader and bridge, and the drift phases of each seed, are
@@ -156,11 +157,111 @@ def _grid_terms(
     return (f, x) + _read_only(z_reader, p_unloaded, offset)
 
 
-def _noise_rng(seed: int, t: float) -> np.random.Generator:
-    key = int(round(t * 1e9))
-    if key < 0:
-        raise ValueError("timestamp must be >= 0")
-    return np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFF, key]))
+def _noise_key(t: float) -> int:
+    """Key of the noise stream of a sweep at ``t`` seconds: the timestamp
+    in whole nanoseconds, which must be finite, >= 0 and below 2**64."""
+    ns = t * 1e9
+    if math.isfinite(ns):
+        key = round(ns)
+        if 0 <= key < 1 << 64:
+            return key
+    raise ValueError(
+        f"timestamp {t!r} s must be finite, >= 0 and below 2**64 ns (about 584 years)"
+    )
+
+
+# Seeding of a row's noise stream, computed for a whole block at once.
+# NumPy's ``SeedSequence`` (NEP 19) hashes its entropy words into a pool
+# of four uint32 words and hashes the pool out into the PCG64 seed words;
+# ``PCG64`` then runs the PCG set-seed step (O'Neill 2014).  Both are
+# fixed algorithms with data-independent hash constants.
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+# PCG's default 128-bit LCG multiplier
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+# NumPy's MIX_MULT_L/MIX_MULT_R
+_MIX_MULT_L = np.uint32(0xCA01F9DD)
+_MIX_MULT_R = np.uint32(0x4973F715)
+
+
+def _hash_constants(init: int, mult: int, n: int) -> tuple:
+    """Xor and multiply constants of ``n`` successive hash steps: a step
+    xors in the hash constant, advances it by ``mult`` and multiplies by
+    the new value."""
+    xors, mults = [], []
+    for _ in range(n):
+        xors.append(init)
+        init = init * mult & _MASK32
+        mults.append(init)
+    return np.array(xors, np.uint32), np.array(mults, np.uint32)
+
+
+# NumPy's INIT_A/MULT_A: 4 steps fill the pool, 12 mix it
+_POOL_XOR, _POOL_MULT = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+# NumPy's INIT_B/MULT_B: one step per output word
+_OUT_XOR, _OUT_MULT = (c[:, None] for c in _hash_constants(0x8B51F9DD, 0x58F38DED, 8))
+# The mix hashes each source word s into the other three in ascending
+# order, steps 4 + 3s to 6 + 3s.  The pool lives in rows 0-3 of a 7-row
+# buffer whose rows 4-6 repeat rows 0-2, so the other three words are
+# the slice s+1 : s+4, in the order s+1, s+2, s+3 (mod 4); each
+# source's constants are put in that order.
+_MIX_STEPS = [
+    [4 + 3 * s + (d if d < s else d - 1) for d in ((s + 1) % 4, (s + 2) % 4, (s + 3) % 4)]
+    for s in range(4)
+]
+_MIX_XOR = [_POOL_XOR[steps][:, None] for steps in _MIX_STEPS]
+_MIX_MULT = [_POOL_MULT[steps][:, None] for steps in _MIX_STEPS]
+# after the mix, pool words 0, 1, 2, 3 sit in buffer rows 4, 5, 6, 3
+_OUT_ROWS = np.array([4, 5, 6, 3, 4, 5, 6, 3])
+# Fewest rows for which one kernel call beats a SeedSequence per row.
+_KERNEL_MIN_ROWS = 8
+
+
+def _pcg64_states(seed: int, keys: Sequence[int]) -> list[tuple[int, int]]:
+    """PCG64 ``(state, inc)`` of ``SeedSequence([seed & 0xFFFFFFFF, key])``
+    for each key (0 <= key < 2**64), hashed for all keys at once.
+
+    The entropy is the four words ``[seed, key_lo, key_hi, 0]``: NumPy
+    hashes a missing pool word as 0, so this equals its two- and
+    three-word entropy.  The hash is uint32 array arithmetic, which wraps
+    silently; the 128-bit PCG step is on Python ints."""
+    k = np.array(keys, dtype=np.uint64)
+    b = np.empty((7, len(k)), np.uint32)
+    b[0] = seed & _MASK32
+    b[1] = k
+    b[2] = k >> np.uint64(32)
+    b[3] = 0
+    pool = b[:4]
+    pool ^= _POOL_XOR[:4, None]
+    pool *= _POOL_MULT[:4, None]
+    pool ^= pool >> 16
+    b[4:] = b[:3]
+    for s in range(4):
+        if s == 2:
+            # from source 2 on, words 1 and 2 change in rows 5 and 6
+            b[5:] = b[1:3]
+        h = b[s] ^ _MIX_XOR[s]
+        h *= _MIX_MULT[s]
+        h ^= h >> 16
+        h *= _MIX_MULT_R
+        dst = b[s + 1 : s + 4]
+        dst *= _MIX_MULT_L
+        dst -= h
+        dst ^= dst >> 16
+    words = b[_OUT_ROWS]
+    words ^= _OUT_XOR
+    words *= _OUT_MULT
+    words ^= words >> 16
+    # Four uint64 seed words, low half first: initstate is words 0-1 and
+    # initseq words 2-3, high word first.  PCG's set-seed takes
+    # inc = 2 initseq + 1 and steps the LCG from 0, adds initstate and
+    # steps again.
+    states = []
+    for s0, s1, s2, s3, i0, i1, i2, i3 in words.T.tolist():
+        initstate = (s0 | s1 << 32) << 64 | s2 | s3 << 32
+        inc = ((i0 | i1 << 32) << 65 | (i2 | i3 << 32) << 1 | 1) & _MASK128
+        states.append((((inc + initstate) * _PCG_MULT + inc) & _MASK128, inc))
+    return states
 
 
 def _shifted_sensor(sensor: CoilParams, shift_hz: float) -> CoilParams:
@@ -268,9 +369,39 @@ def _synthesize_into(
         coeffs = amp * np.sin(2.0 * math.pi * t / DRIFT_PERIOD_S + phases[:3])
         out += np.polynomial.polynomial.polyval(x, coeffs.T)
 
-    if disturb.noise_sigma > 0.0:
-        for row, t in zip(out, times):
-            row += _noise_rng(cfg.seed, t).normal(0.0, disturb.noise_sigma, size=len(f))
+    if disturb.noise_sigma > 0.0 and times:
+        _add_noise(out, cfg.seed & _MASK32, times, disturb.noise_sigma)
+
+
+def _add_noise(out: np.ndarray, seed: int, times: list[float], sigma: float) -> None:
+    """Add to each row of ``out`` the Gaussian noise of its own stream,
+    ``SeedSequence([seed, key])`` -> ``PCG64`` with the row's timestamp
+    key.  A block of ``_KERNEL_MIN_ROWS`` rows or more is seeded by
+    ``_pcg64_states``, checked once against NumPy's seeding of row 0;
+    below that, building each generator costs less than the kernel."""
+    keys = [_noise_key(t) for t in times]
+    if len(keys) < _KERNEL_MIN_ROWS:
+        for row, key in zip(out, keys):
+            rng = np.random.default_rng(np.random.SeedSequence([seed, key]))
+            row += rng.normal(0.0, sigma, size=len(row))
+        return
+    states = _pcg64_states(seed, keys)
+    bits = np.random.PCG64(np.random.SeedSequence([seed, keys[0]]))
+    first = bits.state["state"]
+    if states[0] != (first["state"], first["inc"]):
+        raise RuntimeError(
+            "noise seeding no longer matches numpy's SeedSequence -> PCG64 "
+            f"(numpy {np.__version__})"
+        )
+    gen = np.random.Generator(bits)
+    for row, (state, inc) in zip(out, states):
+        bits.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        row += gen.normal(0.0, sigma, size=len(row))
 
 
 def synthesize_sweep(

@@ -97,6 +97,14 @@ class TestSynthDetect:
             assert run(capsys, "synth", "--output", str(p), "--seed", "11")[0] == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    @pytest.mark.parametrize("time", ["inf", "nan", "-1", "1e11"])
+    def test_synth_rejects_timestamp_outside_the_noise_key_range(self, capsys, tmp_path, time):
+        out_path = tmp_path / "sweep.csv"
+        code, _, err = run(capsys, "synth", "--output", str(out_path), "--time", time)
+        assert code == 1
+        assert err.startswith(f"error: timestamp {float(time)!r} s must be finite, >= 0")
+        assert not out_path.exists()
+
     def test_detect_defaults_are_detector_config(self, capsys, tmp_path, monkeypatch):
         sweep_path = tmp_path / "sweep.csv"
         assert run(capsys, "synth", "--output", str(sweep_path))[0] == 0

@@ -18,7 +18,8 @@ from pitkit.detect import (
     detect_stream,
     fit_baseline,
 )
-from pitkit.synth import DisturbanceModel, SweepConfig, scripted_session
+from pitkit.circuit import CoupledPair
+from pitkit.synth import DisturbanceModel, SweepConfig, scripted_session, synthesize_block
 from pitkit.trace import Sweep
 
 GRID = 27e6 + 60e3 * np.arange(51)
@@ -371,6 +372,121 @@ class TestDetectBlock:
         y[1, 7] = np.inf
         with pytest.raises(ValueError, match="finite"):
             detect_block(GRID, y)
+
+
+def loop_masked_baseline(v, y):
+    """The clipping loop before it stopped rows on a two-mask cycle,
+    verbatim: every row refits until its mask settles or the pass cap."""
+    base = detect._fit(v, y)
+    keep = np.ones(y.shape, dtype=bool)
+    rows = np.arange(len(y))
+    for _ in range(detect._MASK_PASSES):
+        residual = y[rows] - base[rows]
+        med, sigma = detect._median_and_sigma(residual)
+        outlier = residual - med >= detect._MASK_SIGMA * sigma[:, None]
+        dilated = outlier.copy()
+        for shift in range(1, detect._MASK_DILATION + 1):
+            dilated[:, :-shift] |= outlier[:, shift:]
+            dilated[:, shift:] |= outlier[:, :-shift]
+        new_keep = ~dilated
+        go = (
+            (sigma > detect._SIGMA_FLOOR)
+            & (new_keep.sum(axis=1) > v.shape[1])
+            & (new_keep != keep[rows]).any(axis=1)
+        )
+        rows = rows[go]
+        if not len(rows):
+            break
+        keep[rows] = new_keep[go]
+        base[rows] = detect._fit(v, y[rows], keep[rows])
+    return base
+
+
+def ring_sweeps(couplings, noise_sigma=0.0, seed=0):
+    """Sweeps of a 7-turn ring at 28 MHz on the 51-point grid, one row
+    per coupling."""
+    reader, sensor = defaults.reader_coil(), defaults.ring_coil(28.0e6, 7)
+    return synthesize_block(
+        SweepConfig(seed=seed),
+        [CoupledPair(reader, sensor, k) for k in couplings],
+        defaults.bridge_config(),
+        DisturbanceModel(noise_sigma=noise_sigma),
+        [0.2 * i for i in range(len(couplings))],
+    ).magnitudes_db
+
+
+@st.composite
+def baseline_blocks(draw):
+    """(Vandermonde, rows) of noisy, noise-free or peaked sweeps: random
+    ones from ``blocks`` with or without their noise, plain noise, or
+    ring sweeps."""
+    kind = draw(st.sampled_from(["noisy", "noise-free", "noise only", "ring", "noisy ring"]))
+    if kind.endswith("ring"):
+        couplings = draw(st.lists(st.floats(1e-4, 3e-3), min_size=1, max_size=6))
+        noise = 0.002 if kind == "noisy ring" else 0.0
+        y = ring_sweeps(couplings, noise, draw(st.integers(0, 2**32 - 1)))
+        return detect._vandermonde(SweepConfig().frequencies(), 5), y
+    f, y, cfg = draw(blocks(max_rows=6))
+    if kind == "noise only":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        y = -55.0 + rng.normal(0.0, 0.002, y.shape)
+    if kind == "noise-free":
+        n = len(f)
+        x = np.linspace(-1.0, 1.0, n)
+        y = np.polynomial.polynomial.polyval(x, [-55.0, 0.3, -0.2]) + np.zeros((len(y), n))
+        for row in y:
+            center = draw(st.floats(-1.0, 1.0))
+            row += draw(st.floats(0.0, 0.3)) * np.exp(-0.5 * ((x - center) / (5.0 / n)) ** 2)
+    return detect._vandermonde(f, cfg.baseline_order), y
+
+
+class TestMaskedBaseline:
+    @given(block=baseline_blocks())
+    @settings(max_examples=80, deadline=None)
+    def test_same_bytes_as_the_refitting_loop(self, block):
+        v, y = block
+        assert detect._masked_baseline(v, y).tobytes() == loop_masked_baseline(v, y).tobytes()
+
+    def test_cycle_through_the_all_true_mask_ends_on_a_weighted_fit(self):
+        """Noise on a smooth background can flip between a clipped mask
+        and the all-true one: here 378, 387, 378, ... of 387 points.  On
+        this grid the first, unweighted fit differs in its bits from the
+        weighted all-true fit the loop ends on, so it must not close the
+        cycle."""
+        rng = np.random.default_rng(1133)
+        n, order = int(rng.integers(10, 402)), int(rng.integers(1, 7))
+        f = 1e6 + rng.uniform(0, 49e6)
+        f += rng.uniform(1e3, 200e3) * (np.arange(n) + rng.uniform(-0.3, 0.3, n))
+        x = np.linspace(-1.0, 1.0, n)
+        y = np.polynomial.polynomial.polyval(x, rng.normal(0.0, 0.5, 4)) - 55.0
+        y = (y + rng.normal(0.0, 0.002, n))[None, :]
+        v = detect._vandermonde(f, order)
+        weighted = detect._fit(v, y, np.ones(y.shape, dtype=bool))
+        assert detect._fit(v, y).tobytes() != weighted.tobytes()
+        expected = loop_masked_baseline(v, y)
+        assert expected.tobytes() == weighted.tobytes()
+        assert detect._masked_baseline(v, y).tobytes() == expected.tobytes()
+
+    def test_noise_free_ring_stops_on_its_two_mask_cycle(self, monkeypatch):
+        """A noise-free 51-point ring sweep keeps 40, 32, 26 and 22 points
+        on passes 1-4, then flips between 24 and 22: the loop fits 9 times,
+        one unweighted fit and a refit per pass.  The cycle is seen on
+        pass 6, after 6 fits, with the same result."""
+        v = detect._vandermonde(SweepConfig().frequencies(), 5)
+        y = ring_sweeps([1e-3])
+        fits = []
+        original = detect._fit
+
+        def counting(v, y, keep=None):
+            fits.append(len(y))
+            return original(v, y, keep)
+
+        monkeypatch.setattr(detect, "_fit", counting)
+        expected = loop_masked_baseline(v, y)
+        assert len(fits) == 9
+        fits.clear()
+        assert detect._masked_baseline(v, y).tobytes() == expected.tobytes()
+        assert len(fits) == 6
 
 
 def press_session(step, seed, duration):

@@ -125,20 +125,28 @@ class TestCalibrateCoupling:
 
     def test_each_coupling_synthesized_once(self, monkeypatch):
         """Both bisections start from the same bracket; their shared steps
-        are synthesized and detected once per call (74 of 83 at seed 0)."""
+        are synthesized and detected once per call.  Each noise-free block
+        holds the next two levels of the bisection tree (the first also
+        the upper bound), and the first bisection's result, whose peak
+        bin sets the noisy window, is a one-row block: at seed 0, 110
+        couplings in 37 blocks, where the walk alone visits 74."""
         couplings = []
-        original = experiments.synthesize_sweep
+        blocks = []
+        original = experiments.synthesize_block
 
-        def counting(cfg, pair, *args, **kwargs):
-            couplings.append(pair.coupling)
-            return original(cfg, pair, *args, **kwargs)
+        def counting(cfg, pairs, bridge, disturb, timestamps):
+            if disturb.noise_sigma == 0.0:
+                couplings.extend(pair.coupling for pair in pairs)
+                blocks.append(len(pairs))
+            return original(cfg, pairs, bridge, disturb, timestamps)
 
-        monkeypatch.setattr(experiments, "synthesize_sweep", counting)
+        monkeypatch.setattr(experiments, "synthesize_block", counting)
         sensor = defaults.ring_coil(28.0e6, 7)
         calibrate_coupling(
             16.0, sensor, defaults.reader_coil(), defaults.bridge_config(), SweepConfig(seed=0)
         )
-        assert len(couplings) == len(set(couplings)) == 74
+        assert len(couplings) == len(set(couplings)) == 110
+        assert len(blocks) == 37
 
     @pytest.mark.parametrize(
         "target, seed, k_hex",

@@ -223,6 +223,74 @@ class TestDeterminismAndNoise:
         assert len(positions) > 1
 
 
+def numpy_state(seed, key):
+    """NumPy's own PCG64 (state, inc) of a noise stream."""
+    state = np.random.PCG64(np.random.SeedSequence([seed & 0xFFFFFFFF, key])).state["state"]
+    return state["state"], state["inc"]
+
+
+class TestNoiseSeeding:
+    """``synth._pcg64_states`` against NumPy's ``SeedSequence`` -> ``PCG64``."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1])
+    def test_states_equal_numpy_at_word_edges(self, seed):
+        keys = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+        assert synth._pcg64_states(seed, keys) == [numpy_state(seed, k) for k in keys]
+
+    @given(
+        seed=st.integers(0, 2**40),
+        keys=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=24),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_states_equal_numpy(self, seed, keys):
+        assert synth._pcg64_states(seed, keys) == [numpy_state(seed, k) for k in keys]
+
+    def test_noisy_block_uses_the_kernel(self, monkeypatch):
+        calls = []
+        original = synth._pcg64_states
+        monkeypatch.setattr(
+            synth,
+            "_pcg64_states",
+            lambda seed, keys: calls.append(len(keys)) or original(seed, keys),
+        )
+        rows = synth._KERNEL_MIN_ROWS
+        times = [0.2 * i for i in range(rows)]
+        block = synthesize_block(SweepConfig(seed=5), [default_pair()] * rows,
+                                 defaults.bridge_config(), DisturbanceModel(), times)
+        assert calls == [rows]
+        for row, t in zip(block, times):
+            one = synthesize_sweep(
+                SweepConfig(seed=5), default_pair(), defaults.bridge_config(), t=t
+            )
+            assert np.array_equal(row.magnitudes_db, one.magnitudes_db)
+
+    def test_row_zero_mismatch_raises(self, monkeypatch):
+        original = synth._pcg64_states
+
+        def off_by_one(seed, keys):
+            (state, inc), *rest = original(seed, keys)
+            return [(state + 1, inc), *rest]
+
+        monkeypatch.setattr(synth, "_pcg64_states", off_by_one)
+        rows = synth._KERNEL_MIN_ROWS
+        with pytest.raises(RuntimeError, match="SeedSequence"):
+            synthesize_block(SweepConfig(), [default_pair()] * rows, defaults.bridge_config(),
+                             DisturbanceModel(), [0.2 * i for i in range(rows)])
+
+    @pytest.mark.parametrize(
+        "t", [math.inf, -math.inf, math.nan, -1.0, -6e-10, 1e11, 2.0**64 / 1e9]
+    )
+    def test_timestamp_outside_the_key_range_raises(self, t):
+        with pytest.raises(ValueError, match=r"finite, >= 0 and below 2\*\*64 ns"):
+            synthesize_sweep(SweepConfig(), default_pair(), defaults.bridge_config(), t=t)
+
+    @pytest.mark.parametrize(
+        "t, key", [(0.0, 0), (-4e-10, 0), (1.25, 1_250_000_000), (1.8e10, 18 * 10**18)]
+    )
+    def test_timestamp_key_is_rounded_nanoseconds(self, t, key):
+        assert synth._noise_key(t) == key
+
+
 class TestGeometry:
     def test_reference_anchor(self):
         scene = GeometryScenario(distance=0.13)
@@ -520,7 +588,10 @@ def reference_sweep(cfg, pair, bridge, disturb, t):
         coeffs = amp * np.sin(2.0 * math.pi * t / synth.DRIFT_PERIOD_S + phases[:3])
         p = p + np.polynomial.polynomial.polyval(x, coeffs)
     if disturb.noise_sigma > 0.0:
-        p = p + synth._noise_rng(cfg.seed, t).normal(0.0, disturb.noise_sigma, size=len(f))
+        rng = np.random.default_rng(
+            np.random.SeedSequence([cfg.seed & 0xFFFFFFFF, round(t * 1e9)])
+        )
+        p = p + rng.normal(0.0, disturb.noise_sigma, size=len(f))
     return p
 
 
