@@ -34,7 +34,6 @@ from .detect import (
     detect_block,
     detect_peaks,
     detect_stream,
-    fit_baseline,
 )
 from .synth import (
     DisturbanceModel,

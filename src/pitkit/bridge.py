@@ -27,15 +27,12 @@ V_IN_1MW_50OHM = math.sqrt(2 * 1e-3 * 50.0)
 @dataclass(frozen=True)
 class BridgeConfig:
     amplifier_resistance: float = 100.0
-    reference_impedance: complex = 55.0 + 0j
     input_amplitude: float = V_IN_1MW_50OHM
     mismatch_fraction: float = 0.0
 
     def __post_init__(self) -> None:
         if self.amplifier_resistance <= 0:
             raise ValueError("amplifier_resistance must be > 0")
-        if abs(self.reference_impedance) == 0:
-            raise ValueError("reference_impedance must be nonzero")
         if self.input_amplitude <= 0:
             raise ValueError("input_amplitude must be > 0")
         if not 0.0 <= self.mismatch_fraction <= 0.2:
@@ -50,20 +47,17 @@ def reference_impedance_for(cfg: BridgeConfig, z_reader):
     return complex(z_ref) if np.isscalar(z_reader) or z_ref.ndim == 0 else z_ref
 
 
-def bridge_output(cfg: BridgeConfig, z_load, z_reader=None):
+def bridge_output(cfg: BridgeConfig, z_load, z_reader):
     """Exact bridge output voltage for a given load impedance.
 
-    ``z_reader`` sets the per-frequency reference arm; when omitted, the
-    fixed ``cfg.reference_impedance`` is used.  A perfectly balanced
-    bridge (z_load equal to the reference) outputs exactly 0.
+    ``z_reader`` sets the per-frequency reference arm
+    (``reference_impedance_for``).  A perfectly balanced bridge (z_load
+    equal to the reference) outputs exactly 0.
     """
     z_load = np.asarray(z_load, dtype=complex)
     if np.any(np.abs(z_load) == 0):
         raise ValueError("z_load must have nonzero magnitude")
-    if z_reader is None:
-        z_ref = np.asarray(cfg.reference_impedance, dtype=complex)
-    else:
-        z_ref = np.asarray(reference_impedance_for(cfg, z_reader), dtype=complex)
+    z_ref = np.asarray(reference_impedance_for(cfg, z_reader), dtype=complex)
     if np.any(np.abs(z_ref) == 0):
         raise ValueError("reference impedance must have nonzero magnitude")
     v = -cfg.amplifier_resistance * (

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from . import defaults
 from .circuit import CoupledPair
-from .dca import DesignError, design_dca
+from .dca import design_dca
 from .decode import PROFILE_PRESETS, DebounceConfig, RingProfile, decode_stream, events_to_jsonl
 from .detect import DetectorConfig, detect_peaks
 from .experiments import EXPERIMENTS, ExperimentSpec, run_experiment
@@ -234,10 +234,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (DataFormatError, DesignError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, OSError) as exc:
+        # DataFormatError and DesignError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -274,8 +274,7 @@ def decode_stream(
     det: DetectorConfig = DetectorConfig(),
     deb: DebounceConfig = DebounceConfig(),
 ) -> list[InputEvent]:
-    """Decode a time-ordered sweep train, a ``SweepBlock`` or an iterable
-    of sweeps, into debounced input events.
+    """Decode a time-ordered sweep train into debounced input events.
 
     One rule debounces every ring.  A frame's observation is
     ``classify_state`` of its peaks, and a frame without an in-band peak
@@ -294,9 +293,9 @@ def decode_stream(
     detection threshold for ``confirm_frames`` frames decodes as
     press-down, press-up, press-down; a fix for that belongs there.
 
-    Detection runs on blocks of consecutive sweeps that share a grid: row
-    views of a ``SweepBlock``, or gathered sweeps (see ``detect_stream``);
-    the debouncer then steps frame by frame.
+    ``sweeps`` is a ``SweepBlock`` or sweeps on one grid.  Detection runs
+    on row views of the one block (see ``detect_stream``); the debouncer
+    then steps frame by frame.
     """
     scroll = profile.kind == "scroll"
     idle = frozenset() if scroll else profile.idle_label

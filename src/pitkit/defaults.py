@@ -75,7 +75,6 @@ def ring_coil(frequency: float, turns: int = 8) -> CoilParams:
 def bridge_config(mismatch_fraction: float = MISMATCH_FRACTION) -> BridgeConfig:
     return BridgeConfig(
         amplifier_resistance=R_AMP_OHM,
-        reference_impedance=complex(READER_RESISTANCE_OHM),
         input_amplitude=INPUT_AMPLITUDE_V,
         mismatch_fraction=mismatch_fraction,
     )

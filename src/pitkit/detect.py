@@ -7,8 +7,8 @@ accumulates into the detection statistic.
 
 Detection works on blocks: ``detect_block`` takes a (T, N) matrix of
 sweeps on one shared grid and fits all T baselines together, one batched
-solve per clipping pass.  ``detect_stream`` cuts a sweep train into such
-blocks, and ``detect_peaks`` is the one-row case.
+solve per clipping pass.  ``detect_stream`` cuts a sweep train into row
+views of such blocks, and ``detect_peaks`` is the one-row case.
 """
 
 from __future__ import annotations
@@ -20,7 +20,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .trace import BLOCK_POINTS, Sweep, SweepBlock, as_block
+from .trace import Sweep, as_block
+
+# Most grid points (frames x points per frame) that ``detect_stream``
+# hands ``detect_block`` at once: 80 frames on the 51-point grid, 10 on
+# the 401-point grid.  The cap bounds the memory each clipping pass
+# holds in temporaries.
+BLOCK_POINTS = 4096
 
 # Residual sigma is floored so noiseless traces report a finite SNR.
 _SIGMA_FLOOR = 1e-12
@@ -106,16 +112,6 @@ def _fit(v: np.ndarray, y: np.ndarray, keep: np.ndarray | None = None) -> np.nda
     coeffs = np.linalg.solve(normal, vt @ y[:, :, None])
     coeffs += np.linalg.solve(normal, vt @ (y[:, :, None] - v @ coeffs))
     return (v @ coeffs)[:, :, 0]
-
-
-def fit_baseline(sweep: Sweep, order: int) -> np.ndarray:
-    """Least-squares polynomial baseline of the given degree.
-
-    Plain unweighted fit: the residual sums to zero by the normal
-    equations, and adding any in-span polynomial of degree <= order to
-    the trace leaves the residual unchanged.
-    """
-    return _fit(_vandermonde(sweep.frequencies, order), sweep.magnitudes_db[None, :])[0]
 
 
 def _row_median(a: np.ndarray) -> np.ndarray:
@@ -264,49 +260,17 @@ def _row_peaks(
 def detect_stream(sweeps, cfg: DetectorConfig = DetectorConfig()):
     """Yield (sweep, residual, peaks) for each sweep of a train, in order.
 
-    Sweeps are detected together in blocks of at most ``BLOCK_POINTS``
-    grid points.  A ``SweepBlock`` is cut into row views of itself and
-    each goes straight to ``detect_block``.  Any other iterable of sweeps
-    is gathered into blocks of consecutive sweeps on one grid, where a
-    grid change starts a new block; it is consumed one block at a time,
-    so a generator of sweeps is never held in memory whole.
+    ``sweeps`` is a ``SweepBlock`` or sweeps on one grid (``as_block``).
+    The block is cut into row views of at most ``BLOCK_POINTS`` grid
+    points, and each goes straight to ``detect_block``.
     """
-    if isinstance(sweeps, SweepBlock):
-        rows = _block_rows(sweeps.frequencies)
-        for i in range(0, len(sweeps), rows):
-            # a fresh chunk view per block: zip stops on its last row
-            chunk = sweeps[i : i + rows]
-            residuals, peaks = detect_block(chunk.frequencies, chunk.magnitudes_db, cfg)
-            yield from zip(chunk, residuals, peaks)
-        return
-    block: list[Sweep] = []
-    rows = 1
-    for sweep in sweeps:
-        if block and (
-            len(block) >= rows
-            or not (
-                sweep.frequencies is block[0].frequencies
-                or np.array_equal(sweep.frequencies, block[0].frequencies)
-            )
-        ):
-            yield from _detect_sweeps(block, cfg)
-            block = []
-        if not block:
-            rows = _block_rows(sweep.frequencies)
-        block.append(sweep)
-    if block:
-        yield from _detect_sweeps(block, cfg)
-
-
-def _block_rows(frequencies: np.ndarray) -> int:
-    return max(1, BLOCK_POINTS // max(1, len(frequencies)))
-
-
-def _detect_sweeps(block: list[Sweep], cfg: DetectorConfig):
-    residuals, peaks = detect_block(
-        block[0].frequencies, np.stack([s.magnitudes_db for s in block]), cfg
-    )
-    return zip(block, residuals, peaks)
+    block = as_block(sweeps)
+    rows = max(1, BLOCK_POINTS // max(1, len(block.frequencies)))
+    for i in range(0, len(block), rows):
+        # a fresh chunk view per block: zip stops on its last row
+        chunk = block[i : i + rows]
+        residuals, peaks = detect_block(chunk.frequencies, chunk.magnitudes_db, cfg)
+        yield from zip(chunk, residuals, peaks)
 
 
 def detect_peaks(sweep: Sweep, cfg: DetectorConfig = DetectorConfig()) -> list[PeakReport]:

@@ -6,11 +6,12 @@ metal-proximity perturbations to produce traces the detector consumes.
 
 Generation is a pure function of (configs, seed, timestamp): the noise
 generator is re-seeded per sweep from (seed, timestamp), so sweeps can
-be produced in any order, block or process and stay bit-identical.  A
-block computes the seeds of all its rows at once (``_pcg64_states``).
-Sweeps are made in blocks on one grid (``synthesize_block``), where each
-distinct ring state is evaluated once.  The terms that depend only on
-the grid, reader and bridge, and the drift phases of each seed, are
+be produced in any order, block or process and stay bit-identical.
+Every sweep is made in a block on one grid (``synthesize_block``): a
+single sweep is a one-row block and a scripted session is one block.
+A block evaluates each distinct ring state once and seeds the noise of
+all its rows at once (``_pcg64_states``).  The terms that depend only
+on the grid, reader and bridge, and the drift phases of each seed, are
 computed once and shared read-only between sweeps.
 """
 
@@ -27,7 +28,7 @@ import numpy as np
 
 from .bridge import BridgeConfig, bridge_output, to_db_magnitude
 from .circuit import CoilParams, CoupledPair, capacitance_for_resonance, load_impedance, sensor_impedance
-from .trace import BLOCK_POINTS, Sweep, SweepBlock, as_block
+from .trace import Sweep, SweepBlock, as_block
 
 if TYPE_CHECKING:
     from .decode import RingProfile
@@ -213,8 +214,6 @@ _MIX_XOR = [_POOL_XOR[steps][:, None] for steps in _MIX_STEPS]
 _MIX_MULT = [_POOL_MULT[steps][:, None] for steps in _MIX_STEPS]
 # after the mix, pool words 0, 1, 2, 3 sit in buffer rows 4, 5, 6, 3
 _OUT_ROWS = np.array([4, 5, 6, 3, 4, 5, 6, 3])
-# Fewest rows for which one kernel call beats a SeedSequence per row.
-_KERNEL_MIN_ROWS = 8
 
 
 def _pcg64_states(seed: int, keys: Sequence[int]) -> list[tuple[int, int]]:
@@ -296,21 +295,6 @@ def synthesize_block(
     times = [float(t) for t in timestamps]
     if len(pairs) != len(times):
         raise ValueError(f"{len(pairs)} pairs but {len(times)} timestamps")
-    f = _grid(cfg.start_frequency, cfg.stop_frequency, cfg.step)[0]
-    magnitudes = np.empty((len(times), len(f)))
-    _synthesize_into(magnitudes, cfg, pairs, bridge, disturb, times)
-    return SweepBlock(f, magnitudes, times)
-
-
-def _synthesize_into(
-    out: np.ndarray,
-    cfg: SweepConfig,
-    pairs: Sequence[CoupledPair],
-    bridge: BridgeConfig,
-    disturb: DisturbanceModel,
-    times: list[float],
-) -> None:
-    """Write the rows of ``synthesize_block`` into ``out`` (T, N)."""
     f, x = _grid(cfg.start_frequency, cfg.stop_frequency, cfg.step)
     phases = _drift_phases(cfg.seed)
     metal = (
@@ -353,38 +337,29 @@ def _synthesize_into(
             level = offset + (p_loaded - p_unloaded)
             levels.append(level if metal is None else level + metal)
         which.append(level_of[key])
-    # the indices are in range by construction; "clip" writes to ``out``
-    # directly, where the default mode would go through a buffer
-    np.take(
-        np.array(levels).reshape(len(levels), len(f)),
-        np.array(which, dtype=np.intp),
-        axis=0,
-        out=out,
-        mode="clip",
-    )
+    stacked = np.array(levels).reshape(len(levels), len(f))
+    # under frequency drift each row has its own level, and the list is a
+    # whole copy of the block
+    del levels
+    magnitudes = stacked[np.array(which, dtype=np.intp)]
 
     if disturb.amplitude_drift > 0.0:
         amp = disturb.amplitude_drift * DRIFT_PERIOD_S / (2.0 * math.pi)
         t = np.array(times)[:, None]
         coeffs = amp * np.sin(2.0 * math.pi * t / DRIFT_PERIOD_S + phases[:3])
-        out += np.polynomial.polynomial.polyval(x, coeffs.T)
+        magnitudes += np.polynomial.polynomial.polyval(x, coeffs.T)
 
     if disturb.noise_sigma > 0.0 and times:
-        _add_noise(out, cfg.seed & _MASK32, times, disturb.noise_sigma)
+        _add_noise(magnitudes, cfg.seed & _MASK32, times, disturb.noise_sigma)
+    return SweepBlock(f, magnitudes, times)
 
 
 def _add_noise(out: np.ndarray, seed: int, times: list[float], sigma: float) -> None:
     """Add to each row of ``out`` the Gaussian noise of its own stream,
     ``SeedSequence([seed, key])`` -> ``PCG64`` with the row's timestamp
-    key.  A block of ``_KERNEL_MIN_ROWS`` rows or more is seeded by
-    ``_pcg64_states``, checked once against NumPy's seeding of row 0;
-    below that, building each generator costs less than the kernel."""
+    key.  The streams of all rows are seeded at once by
+    ``_pcg64_states``, checked against NumPy's seeding of row 0."""
     keys = [_noise_key(t) for t in times]
-    if len(keys) < _KERNEL_MIN_ROWS:
-        for row, key in zip(out, keys):
-            rng = np.random.default_rng(np.random.SeedSequence([seed, key]))
-            row += rng.normal(0.0, sigma, size=len(row))
-        return
     states = _pcg64_states(seed, keys)
     bits = np.random.PCG64(np.random.SeedSequence([seed, keys[0]]))
     first = bits.state["state"]
@@ -435,9 +410,7 @@ def scripted_session(
     ``events`` is a list of (time_s, state_label); the ring idles in the
     profile's first state until the first event.  ``scene_timeline`` is
     either one geometry or a list of (time_s, GeometryScenario).  The
-    rows are synthesized in chunks of at most ``BLOCK_POINTS`` grid
-    points, which bounds synthesis temporaries, straight into the one
-    block's magnitudes.
+    whole train is one ``synthesize_block`` call.
     """
     events = sorted(events, key=lambda e: e[0])
     for _, label in events:
@@ -473,13 +446,7 @@ def scripted_session(
             pair_of[state, scene] = CoupledPair(reader, sensor, coupling_from_geometry(scene))
         pairs.append(pair_of[state, scene])
 
-    f = _grid(cfg.start_frequency, cfg.stop_frequency, cfg.step)[0]
-    magnitudes = np.empty((frame_count, len(f)))
-    rows = max(1, BLOCK_POINTS // len(f))
-    for i in range(0, frame_count, rows):
-        chunk = slice(i, i + rows)
-        _synthesize_into(magnitudes[chunk], cfg, pairs[chunk], bridge, disturb, times[chunk])
-    return SweepBlock(f, magnitudes, times)
+    return synthesize_block(cfg, pairs, bridge, disturb, times)
 
 
 # ---------------------------------------------------------------------------

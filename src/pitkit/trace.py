@@ -4,7 +4,8 @@ A ``Sweep`` is one analyzer acquisition.  A ``SweepBlock`` is T
 acquisitions on one shared grid, validated once as a whole.  It is a
 sequence of sweeps: iterating it or indexing it with an int gives rows
 as ``Sweep`` views, and slicing it gives a ``SweepBlock`` view; neither
-is validated again.
+is validated again.  ``as_block`` stacks sweeps on one grid into a new
+block, so a train of sweeps is read as one block or not at all.
 """
 
 from __future__ import annotations
@@ -13,12 +14,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-
-# Most grid points (frames x points per frame) in one block of a sweep
-# train: 80 frames on the 51-point grid, 10 on the 401-point grid.  The
-# cap bounds the memory that synthesis and each clipping pass of
-# detection hold in temporaries.
-BLOCK_POINTS = 4096
 
 
 def _checked(frequencies, magnitudes, ndim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -54,9 +49,6 @@ class Sweep:
         f, m = _checked(self.frequencies, self.magnitudes_db, 1)
         object.__setattr__(self, "frequencies", f)
         object.__setattr__(self, "magnitudes_db", m)
-
-    def nearest_index(self, frequency: float) -> int:
-        return int(np.argmin(np.abs(self.frequencies - frequency)))
 
 
 @dataclass(frozen=True)

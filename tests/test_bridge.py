@@ -20,6 +20,8 @@ from pitkit.bridge import (
 )
 
 V_IN = 0.31622776601683794  # sqrt(0.1): 1 mW source into 50 ohm
+# A 55 ohm reader arm with no mismatch: the reference is 55 ohm exactly.
+Z_REF = 55.0 + 0j
 
 
 def test_input_amplitude_constant():
@@ -28,13 +30,13 @@ def test_input_amplitude_constant():
 
 
 def test_balanced_bridge_outputs_exactly_zero():
-    cfg = BridgeConfig(reference_impedance=55.0 + 0j)
-    assert bridge_output(cfg, 55.0 + 0j) == 0
+    cfg = BridgeConfig(mismatch_fraction=0.0)
+    assert bridge_output(cfg, 55.0 + 0j, Z_REF) == 0
 
 
 def test_hand_computed_output():
-    cfg = BridgeConfig(amplifier_resistance=100.0, reference_impedance=55.0 + 0j)
-    v = bridge_output(cfg, 55.085 + 0.02j)
+    cfg = BridgeConfig(amplifier_resistance=100.0, mismatch_fraction=0.0)
+    v = bridge_output(cfg, 55.085 + 0.02j, Z_REF)
     assert v == pytest.approx(0.0008872784327454309 + 0.00020843144091615626j, rel=1e-12)
     assert to_db_magnitude(v, cfg.input_amplitude) == pytest.approx(
         -50.805522957563234, rel=1e-12
@@ -42,10 +44,12 @@ def test_hand_computed_output():
 
 
 def test_output_is_linear_in_input_amplitude():
-    lo = BridgeConfig(reference_impedance=55.0 + 0j, input_amplitude=0.1)
-    hi = BridgeConfig(reference_impedance=55.0 + 0j, input_amplitude=0.3)
+    lo = BridgeConfig(input_amplitude=0.1, mismatch_fraction=0.0)
+    hi = BridgeConfig(input_amplitude=0.3, mismatch_fraction=0.0)
     z = 55.2 + 0.5j
-    assert bridge_output(hi, z) == pytest.approx(3.0 * bridge_output(lo, z), rel=1e-12)
+    assert bridge_output(hi, z, Z_REF) == pytest.approx(
+        3.0 * bridge_output(lo, z, Z_REF), rel=1e-12
+    )
 
 
 @given(
@@ -60,10 +64,10 @@ def test_linearization_within_one_percent(dz_mag, dz_phase):
     |dZ| / (|Z_ref| - |dZ|).  At |dZ| = 0.01 |Z_ref| with dZ pointing
     against Z_ref that is 1/99, just over 1%; at 0.0099 |Z_ref| it is
     0.0099 / 0.9901, just under."""
-    cfg = BridgeConfig(amplifier_resistance=100.0, reference_impedance=55.0 + 0j)
+    cfg = BridgeConfig(amplifier_resistance=100.0, mismatch_fraction=0.0)
     dz = dz_mag * complex(math.cos(dz_phase), math.sin(dz_phase))
-    z_ref = cfg.reference_impedance
-    exact = bridge_output(cfg, z_ref + dz)
+    z_ref = Z_REF
+    exact = bridge_output(cfg, z_ref + dz, Z_REF)
     linear = cfg.amplifier_resistance * cfg.input_amplitude * dz / z_ref**2
     assert abs(exact - linear) <= 0.01 * abs(linear)
 

@@ -16,7 +16,6 @@ from pitkit.detect import (
     detect_block,
     detect_peaks,
     detect_stream,
-    fit_baseline,
 )
 from pitkit.circuit import CoupledPair
 from pitkit.synth import DisturbanceModel, SweepConfig, scripted_session, synthesize_block
@@ -33,6 +32,12 @@ def sloped_background():
     """A gentle cubic: representative static offset, exactly removable."""
     x = (GRID - GRID.mean()) / 1.5e6
     return -52.0 + 0.8 * x + 0.3 * x**2 - 0.1 * x**3
+
+
+def fit_baseline(sweep, order):
+    """The unmasked least-squares baseline, the first fit of
+    ``_masked_baseline``."""
+    return detect._fit(detect._vandermonde(sweep.frequencies, order), sweep.magnitudes_db[None])[0]
 
 
 class TestFitBaseline:
@@ -513,56 +518,29 @@ def shifted(sweeps, offset):
 
 
 class TestDetectStream:
-    def test_blocks_follow_grid_and_cap(self):
-        """Every sweep comes back once, in order, with the peaks it gets
-        alone, across block boundaries and grid changes."""
-        coarse = press_session(60e3, 1, 20.0)  # 100 frames: blocks of 80
-        fine = press_session(7.5e3, 2, 4.0)  # 20 frames: blocks of 10
-        assert len(coarse) > BLOCK_POINTS // 51
-        train = [*coarse[:50], *fine, *coarse[50:]]
-        out = list(detect_stream(iter(train)))
-        assert [s for s, _, _ in out] == train
-        for sweep, residual, peaks in out:
-            assert residual.shape == sweep.magnitudes_db.shape
-            assert peaks == detect_peaks(sweep)
-
     def test_empty_stream(self):
         assert list(detect_stream([])) == []
 
-    def test_grid_change_decodes_as_parts(self):
-        """A session whose grid changes mid-stream decodes to the events of
-        its parts decoded separately."""
+    def test_mixed_grid_raises(self):
+        """A train reads as one block, so a sweep off the first sweep's
+        grid is an error, named by its index."""
+        coarse = press_session(60e3, 1, 4.0)
+        fine = shifted(press_session(7.5e3, 2, 2.0), 4.0)
+        train = [*coarse, *fine]
+        with pytest.raises(ValueError, match="sweep 20 is not on the grid of sweep 0"):
+            list(detect_stream(train))
+        with pytest.raises(ValueError, match="sweep 20 is not on the grid of sweep 0"):
+            decode_stream(train, PROFILE_PRESETS["press"])
+
+    def test_generator_decodes_like_the_block(self):
+        """A generator of sweeps on one grid detects and decodes as the
+        block it came from."""
         press = PROFILE_PRESETS["press"]
-        first = press_session(60e3, 3, 24.0)
-        second = shifted(press_session(7.5e3, 4, 12.0), 24.0)
-        third = shifted(press_session(30e3, 5, 12.0), 36.0)
-        whole = decode_stream([*first, *second, *third], press)
-        parts = [e for part in (first, second, third) for e in decode_stream(part, press)]
-        assert len(whole) == 2 * (6 + 3 + 3)
-        assert whole == parts
-
-    def test_scroll_grid_change_decodes_as_parts(self):
-        scroll = PROFILE_PRESETS["scroll"]
-        inductance, resistance, n_caps = defaults.TURN_TABLE[8]
-
-        def session(step, seed):
-            script = [(1.0, "reed-b"), (2.0, "reed-c"), (3.0, "reed-a")]
-            return scripted_session(
-                script,
-                scroll,
-                SweepConfig(step=step, seed=seed),
-                reader=defaults.reader_coil(),
-                bridge=defaults.bridge_config(),
-                sensor_inductance=inductance,
-                sensor_resistance=resistance + n_caps * defaults.CAPACITOR_ESR_OHM,
-                duration=5.0,
-            )
-
-        first, second = session(60e3, 6), shifted(session(7.5e3, 7), 5.0)
-        whole = decode_stream([*first, *second], scroll)
-        parts = decode_stream(first, scroll) + decode_stream(second, scroll)
-        assert [e.step for e in whole] == [1, 1, 1, 1, 1, 1]
-        assert whole == parts
+        block = press_session(60e3, 3, 24.0)
+        assert_same_stream(list(detect_stream(iter(block))), list(detect_stream(block)))
+        events = decode_stream(block, press)
+        assert len(events) == 2 * 6
+        assert decode_stream(iter(block), press) == events
 
 
 def assert_same_stream(got, expected):
@@ -581,9 +559,9 @@ class TestDetectStreamOnBlock:
         ids=["51pt-empty", "51pt-one", "51pt-long", "401pt-empty", "401pt-one", "401pt-long"],
     )
     def test_block_equals_its_rows(self, step, frames):
-        """Every row comes back once, in order, with what the gathering path
-        gives for the list of rows; 170 rows on 51 points and 23 on 401
-        span three blocks, the last one partial."""
+        """Every row comes back once, in order, with what the list of rows
+        gives; 170 rows on 51 points and 23 on 401 span three blocks, the
+        last one partial."""
         block = press_session(step, 8, frames / 5.0)
         assert len(block) == frames
         if frames > 1:
@@ -606,7 +584,6 @@ class TestDetectStreamOnBlock:
             return original(frequencies, magnitudes, cfg)
 
         monkeypatch.setattr(detect, "detect_block", spy)
-        monkeypatch.setattr(detect, "_detect_sweeps", None)
         assert len(list(detect_stream(block))) == 200
         assert calls == [(True, True)] * 3
 

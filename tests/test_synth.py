@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from pitkit import defaults, synth
 from pitkit.bridge import bridge_output, to_db_magnitude
 from pitkit.circuit import CoilParams, CoupledPair, capacitance_for_resonance, load_impedance
-from pitkit.detect import detect_peaks, fit_baseline
+from pitkit.detect import _fit, _vandermonde, detect_peaks
 from pitkit.synth import (
     DataFormatError,
     DisturbanceModel,
@@ -64,6 +64,11 @@ def default_pair(f0=29.0e6, coupling=1e-3):
     return CoupledPair(defaults.reader_coil(), ring(f0), coupling)
 
 
+def fit_baseline(sweep, order):
+    """The unmasked least-squares baseline of the detector."""
+    return _fit(_vandermonde(sweep.frequencies, order), sweep.magnitudes_db[None])[0]
+
+
 class TestSweepConfig:
     def test_default_grid(self):
         cfg = SweepConfig()
@@ -104,11 +109,6 @@ class TestSweepValidation:
         sweep = Sweep(np.array([1.0, 2.0]), np.zeros(2))
         with pytest.raises(ValueError):
             sweep.magnitudes_db[0] = 1.0
-
-    def test_nearest_index(self):
-        sweep = Sweep(np.array([1.0, 2.0, 3.0]), np.zeros(3))
-        assert sweep.nearest_index(2.4) == 1
-        assert sweep.nearest_index(2.6) == 2
 
 
 class TestStaticBaseline:
@@ -245,7 +245,9 @@ class TestNoiseSeeding:
     def test_states_equal_numpy(self, seed, keys):
         assert synth._pcg64_states(seed, keys) == [numpy_state(seed, k) for k in keys]
 
-    def test_noisy_block_uses_the_kernel(self, monkeypatch):
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        """Row counts of the ``_pcg64_states`` calls made while it is used."""
         calls = []
         original = synth._pcg64_states
         monkeypatch.setattr(
@@ -253,16 +255,41 @@ class TestNoiseSeeding:
             "_pcg64_states",
             lambda seed, keys: calls.append(len(keys)) or original(seed, keys),
         )
-        rows = synth._KERNEL_MIN_ROWS
-        times = [0.2 * i for i in range(rows)]
-        block = synthesize_block(SweepConfig(seed=5), [default_pair()] * rows,
-                                 defaults.bridge_config(), DisturbanceModel(), times)
-        assert calls == [rows]
-        for row, t in zip(block, times):
-            one = synthesize_sweep(
-                SweepConfig(seed=5), default_pair(), defaults.bridge_config(), t=t
+        return calls
+
+    def test_noisy_block_uses_the_kernel(self, kernel_calls):
+        """Every noisy block, one row included, is seeded by one kernel
+        call and equals NumPy's own per-row seeding."""
+        cfg, bridge = SweepConfig(seed=5), defaults.bridge_config()
+        for rows in (1, 2, 7):
+            kernel_calls.clear()
+            times = [0.2 * i for i in range(rows)]
+            block = synthesize_block(
+                cfg, [default_pair()] * rows, bridge, DisturbanceModel(), times
             )
-            assert np.array_equal(row.magnitudes_db, one.magnitudes_db)
+            assert kernel_calls == [rows]
+            for row, t in zip(block, times):
+                expected = reference_sweep(cfg, default_pair(), bridge, DisturbanceModel(), t)
+                assert np.array_equal(row.magnitudes_db, expected)
+
+    @pytest.mark.parametrize("step", [60e3, 30e3, 7.5e3], ids=["51pt", "101pt", "401pt"])
+    def test_session_seeds_once(self, kernel_calls, step):
+        from pitkit.decode import PROFILE_PRESETS
+
+        inductance, resistance, _ = defaults.TURN_TABLE[8]
+        block = scripted_session(
+            [(1.0 + 4.0 * i, label) for i, label in enumerate(["off", "on"] * 2)],
+            PROFILE_PRESETS["press"],
+            SweepConfig(step=step, seed=7),
+            reader=defaults.reader_coil(),
+            bridge=defaults.bridge_config(),
+            sensor_inductance=inductance,
+            sensor_resistance=resistance,
+            duration=18.0,
+            disturb=DisturbanceModel(),
+        )
+        assert len(block) == 90
+        assert kernel_calls == [90]
 
     def test_row_zero_mismatch_raises(self, monkeypatch):
         original = synth._pcg64_states
@@ -272,10 +299,8 @@ class TestNoiseSeeding:
             return [(state + 1, inc), *rest]
 
         monkeypatch.setattr(synth, "_pcg64_states", off_by_one)
-        rows = synth._KERNEL_MIN_ROWS
         with pytest.raises(RuntimeError, match="SeedSequence"):
-            synthesize_block(SweepConfig(), [default_pair()] * rows, defaults.bridge_config(),
-                             DisturbanceModel(), [0.2 * i for i in range(rows)])
+            synthesize_sweep(SweepConfig(), default_pair(), defaults.bridge_config())
 
     @pytest.mark.parametrize(
         "t", [math.inf, -math.inf, math.nan, -1.0, -6e-10, 1e11, 2.0**64 / 1e9]
@@ -687,7 +712,7 @@ class TestSynthesizeBlock:
         synthesize_block gives for each chunk of at most BLOCK_POINTS
         points, under noise and both drifts."""
         from pitkit.decode import PROFILE_PRESETS
-        from pitkit.trace import BLOCK_POINTS
+        from pitkit.detect import BLOCK_POINTS
 
         profile = PROFILE_PRESETS[name]
         cfg = SweepConfig(step=step, seed=6)
