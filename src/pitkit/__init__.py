@@ -22,12 +22,15 @@ from .decode import (
     InputEvent,
     PROFILE_PRESETS,
     RingProfile,
+    classify_block,
     classify_state,
     decode_scroll,
     decode_stream,
+    foreign_block,
     foreign_resonator,
 )
 from .detect import (
+    Detection,
     DetectorConfig,
     PeakReport,
     compute_snr,

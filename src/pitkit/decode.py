@@ -2,13 +2,16 @@
 
 Each ring profile is a designed map from mechanical switch states to
 distinct resonant frequencies with a tolerance band per state.  Every
-ring is decoded by one confirm-N debouncer over per-frame observations:
-the state label the frame's peaks classify to, or for the scroll ring
-the set of reeds with a peak in band.  A frame without an in-band peak
-observes the idle state; that one rule, in ``decode_stream``, is where a
+ring is decoded by one confirm-N debouncer over per-frame observations,
+read from a block's peak table without per-frame objects:
+``classify_block`` gives each frame an integer code, the index of the
+state its peaks classify to or, for the scroll ring, the bitmask of the
+reeds with a peak in band.  A frame without an in-band peak observes
+the idle state, code 0; that one rule, in ``classify_block``, is where a
 held press whose resonance fades under the detection threshold splits
-into release and re-press.  Press, slide and joystick rings name each
-confirmed transition; scroll rings step over the confirmed reed sets.
+into release and re-press.  The debouncer walks runs of equal codes,
+not frames.  Press, slide and joystick rings name each confirmed
+transition; scroll rings step over the confirmed reed sets.
 """
 
 from __future__ import annotations
@@ -18,7 +21,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .detect import DetectorConfig, PeakReport, detect_stream
+import numpy as np
+
+from .detect import Detection, DetectorConfig, PeakReport, detect_stream
 
 KINDS = ("press", "slide", "joystick", "scroll")
 
@@ -184,39 +189,106 @@ PROFILE_PRESETS = {
 }
 
 
-def classify_state(peaks: Sequence[PeakReport], profile: RingProfile):
-    """Map detected peaks to a profile state.
+def _state_codes(detection: Detection, profile: RingProfile) -> np.ndarray:
+    """Integer state code of each frame of a block.
 
     Non-scroll profiles: the strongest peak wins (a single ring has one
-    resonance; extra peaks are artifacts).  Returns the label whose
-    frequency is nearest that peak if within tolerance, else None.
-    Scroll profiles return the frozenset of reed labels with a peak in
-    band; several reeds may be active at once.
-    """
+    resonance; extra peaks are artifacts).  The code is the index of the
+    state nearest that peak if within tolerance, else -1.  Scroll
+    profiles: the bitmask of the reeds with a peak in band (bit j for
+    ``profile.states[j]``); several reeds may be active at once."""
+    states = np.array([s.frequency for s in profile.states])
+    row, frequency = detection.row, detection.frequency
     if profile.kind == "scroll":
-        active = set()
-        for peak in peaks:
-            for s in profile.states:
-                if abs(peak.peak_frequency - s.frequency) <= profile.tolerance:
-                    active.add(s.label)
-        return frozenset(active)
-    if not peaks:
-        return None
-    strongest = max(peaks, key=lambda p: p.peak_height)
-    nearest = min(profile.states, key=lambda s: abs(strongest.peak_frequency - s.frequency))
-    if abs(strongest.peak_frequency - nearest.frequency) <= profile.tolerance:
-        return nearest.label
-    return None
+        in_band = np.abs(frequency[:, None] - states) <= profile.tolerance
+        codes = np.zeros(len(detection.sigma), dtype=np.intp)
+        np.bitwise_or.at(codes, row, (in_band << np.arange(len(states))).sum(axis=1))
+        return codes
+    codes = np.full(len(detection.sigma), -1, dtype=np.intp)
+    first = _strongest(row)
+    distance = np.abs(frequency[first, None] - states)
+    nearest = distance.argmin(axis=1)
+    in_band = distance[np.arange(len(first)), nearest] <= profile.tolerance
+    codes[row[first[in_band]]] = nearest[in_band]
+    return codes
+
+
+def _strongest(row: np.ndarray) -> np.ndarray:
+    """Index of each row's first, strongest, peak in a sorted table."""
+    if not len(row):
+        return row
+    return np.flatnonzero(np.concatenate(([True], row[1:] != row[:-1])))
+
+
+def _one_row(peaks: Sequence[PeakReport]) -> Detection:
+    """A one-row ``Detection`` of one frame's peaks, strongest first; of
+    equally strong peaks the first listed comes first, as ``max`` picks.
+    It holds no residuals, and its bins are placeholders."""
+    ordered = sorted(peaks, key=lambda p: -p.peak_height)
+    index = np.zeros(len(ordered), dtype=np.intp)
+    return Detection(
+        residuals=np.empty((1, 0)),
+        sigma=np.array([ordered[0].baseline_residual_sigma if ordered else 0.0]),
+        row=index,
+        bin=index,
+        frequency=np.array([p.peak_frequency for p in ordered], dtype=float),
+        height=np.array([p.peak_height for p in ordered], dtype=float),
+        snr=np.array([p.snr for p in ordered], dtype=float),
+    )
+
+
+def classify_block(detection: Detection, profile: RingProfile) -> tuple[np.ndarray, np.ndarray]:
+    """The observation of each frame of a block, as (codes, top SNRs).
+
+    A code is the frame's state index for press, slide and joystick
+    rings and its bitmask of in-band reeds for scroll rings (see
+    ``_state_codes``), so the idle observation is 0 on every ring.  The
+    top SNR is the frame's highest peak SNR, 0.0 without peaks."""
+    codes = _state_codes(detection, profile)
+    # A frame without an in-band peak observes the idle state.  This line
+    # makes a held press whose resonance fades under the detection
+    # threshold for ``confirm_frames`` frames decode as press-down,
+    # press-up, press-down; a fix for that belongs here.
+    codes[codes < 0] = 0
+    top = np.zeros(len(codes))
+    first = _strongest(detection.row)
+    if len(first):
+        top[detection.row[first]] = np.maximum.reduceat(detection.snr, first)
+    return codes, top
+
+
+def classify_state(peaks: Sequence[PeakReport], profile: RingProfile):
+    """Map one frame's detected peaks to a profile state.
+
+    Non-scroll profiles: the label of the state nearest the strongest
+    peak if within tolerance, else None.  Scroll profiles: the frozenset
+    of reed labels with a peak in band.  The one-row case of the rule
+    ``classify_block`` applies to a block."""
+    return _state_of(profile, int(_state_codes(_one_row(peaks), profile)[0]))
+
+
+def _state_of(profile: RingProfile, code: int):
+    """The state a code stands for: a label, None for -1, or for a scroll
+    ring the frozenset of reed labels."""
+    if profile.kind == "scroll":
+        return frozenset(s.label for j, s in enumerate(profile.states) if code >> j & 1)
+    return None if code < 0 else profile.states[code].label
+
+
+def foreign_block(detection: Detection, profile: RingProfile) -> np.ndarray:
+    """Per frame of a block, whether its strongest peak sits above every
+    profile band: the signature of a nearby metallic resonator pulling
+    the ring upward."""
+    flags = np.zeros(len(detection.sigma), dtype=bool)
+    first = _strongest(detection.row)
+    top = max(s.frequency for s in profile.states)
+    flags[detection.row[first]] = detection.frequency[first] > top + profile.tolerance
+    return flags
 
 
 def foreign_resonator(peaks: Sequence[PeakReport], profile: RingProfile) -> bool:
-    """True when the strongest peak sits above every profile band: the
-    signature of a nearby metallic resonator pulling the ring upward."""
-    if not peaks:
-        return False
-    strongest = max(peaks, key=lambda p: p.peak_height)
-    top = max(s.frequency for s in profile.states)
-    return strongest.peak_frequency > top + profile.tolerance
+    """``foreign_block``'s flag for one frame's peaks."""
+    return bool(foreign_block(_one_row(peaks), profile)[0])
 
 
 def decode_scroll(activation_sequence: Sequence[frozenset]) -> list[tuple]:
@@ -268,6 +340,25 @@ def _event_name(profile: RingProfile, new: str) -> Optional[str]:
     return f"{profile.kind}-{new}"
 
 
+def _debounce(codes: np.ndarray, confirm_frames: int) -> np.ndarray:
+    """Frames at which the confirm-N debouncer confirms a new state, for a
+    frame sequence of observation codes starting from the idle code 0.
+
+    A run of equal codes as long as ``confirm_frames`` confirms its code
+    on its ``confirm_frames``-th frame, unless that code is already the
+    confirmed one; shorter runs change nothing.  Each confirmation makes
+    its run's code the confirmed one, so a run confirms exactly when its
+    code differs from that of the last run that was long enough."""
+    if not len(codes):
+        return np.empty(0, dtype=np.intp)
+    starts = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
+    lengths = np.diff(np.append(starts, len(codes)))
+    starts = starts[lengths >= confirm_frames]
+    held = codes[starts]
+    new = held != np.concatenate(([0], held[:-1]))
+    return starts[new] + (confirm_frames - 1)
+
+
 def decode_stream(
     sweeps,
     profile: RingProfile,
@@ -276,47 +367,46 @@ def decode_stream(
 ) -> list[InputEvent]:
     """Decode a time-ordered sweep train into debounced input events.
 
-    One rule debounces every ring.  A frame's observation is
-    ``classify_state`` of its peaks, and a frame without an in-band peak
-    observes the idle state (the idle label; for scroll, no active reed).
-    An observation equal to the confirmed state clears the candidate; one
-    equal to the candidate extends its run, and any other starts a new
-    run of one.  A run of ``confirm_frames`` confirms the candidate, so
-    shorter excursions produce nothing.  Each confirmed transition keeps
-    its frame's time and highest peak SNR.  Press rings emit press-down on
-    leaving idle and press-up on returning; slide and joystick rings emit
-    each non-idle state they enter; the scroll ring steps over the
-    confirmed reed sets with ``decode_scroll``.
+    One rule debounces every ring.  ``classify_block`` turns each frame
+    into an observation code; a frame without an in-band peak observes
+    the idle state (the idle label; for scroll, no active reed).  A run
+    of ``confirm_frames`` equal observations that differ from the
+    confirmed state confirms them on its last frame, so shorter
+    excursions produce nothing (``_debounce``).  Each confirmed
+    transition keeps its frame's time and highest peak SNR.  Press rings
+    emit press-down on leaving idle and press-up on returning; slide and
+    joystick rings emit each non-idle state they enter; the scroll ring
+    steps over the confirmed reed sets with ``decode_scroll``.
 
-    The ``None -> idle`` line makes a frame without a peak count toward
-    release.  It is why a held press whose resonance stays under the
-    detection threshold for ``confirm_frames`` frames decodes as
-    press-down, press-up, press-down; a fix for that belongs there.
+    Making a frame without an in-band peak observe idle is why a held
+    press whose resonance stays under the detection threshold for
+    ``confirm_frames`` frames decodes as press-down, press-up,
+    press-down; ``classify_block`` holds that line.
 
     ``sweeps`` is a ``SweepBlock`` or sweeps on one grid.  Detection runs
-    on row views of the one block (see ``detect_stream``); the debouncer
-    then steps frame by frame.
+    on row views of the one block (see ``detect_stream``), each chunk is
+    classified as a whole, and the debouncer walks runs of equal codes.
     """
-    scroll = profile.kind == "scroll"
-    idle = frozenset() if scroll else profile.idle_label
-    confirmed, candidate, run = idle, None, 0
-    transitions: list[tuple] = []  # (time, new state, SNR)
-    for sweep, _, peaks in detect_stream(sweeps, det):
-        observed = classify_state(peaks, profile)
-        if observed is None:  # a frame without a peak counts toward release
-            observed = idle
-        if observed == confirmed:
-            candidate, run = None, 0
-            continue
-        run = run + 1 if observed == candidate else 1
-        candidate = observed
-        if run >= deb.confirm_frames:
-            snr = max((p.snr for p in peaks), default=0.0)
-            transitions.append((float(sweep.timestamp), candidate, snr))
-            confirmed, candidate, run = candidate, None, 0
+    codes, snrs, times = [], [], []
+    for chunk, detection in detect_stream(sweeps, det):
+        chunk_codes, chunk_snrs = classify_block(detection, profile)
+        codes.append(chunk_codes)
+        snrs.append(chunk_snrs)
+        times.append(chunk.timestamps)
+    if not codes:
+        return []
+    codes = np.concatenate(codes)
+    frames = _debounce(codes, deb.confirm_frames)
+    transitions = list(
+        zip(
+            np.concatenate(times)[frames].tolist(),
+            codes[frames].tolist(),
+            np.concatenate(snrs)[frames].tolist(),
+        )
+    )  # (time, new state code, SNR)
 
-    if scroll:
-        steps = decode_scroll([new for _, new, _ in transitions])
+    if profile.kind == "scroll":
+        reeds = [_state_of(profile, code) for _, code, _ in transitions]
         return [
             InputEvent(
                 time=transitions[i][0],
@@ -325,11 +415,11 @@ def decode_stream(
                 confidence=transitions[i][2],
                 step=step,
             )
-            for i, step in steps
+            for i, step in decode_scroll(reeds)
         ]
     events = []
-    for t, new, snr in transitions:
-        name = _event_name(profile, new)
+    for t, code, snr in transitions:
+        name = _event_name(profile, _state_of(profile, code))
         if name is not None:
             events.append(InputEvent(time=t, ring=profile.name, event=name, confidence=snr))
     return events

@@ -5,10 +5,13 @@ residual, and reports local maxima that clear a fixed dB threshold.
 Because the baseline is re-fit every sweep, slow amplitude drift never
 accumulates into the detection statistic.
 
-Detection works on blocks: ``detect_block`` takes a (T, N) matrix of
-sweeps on one shared grid and fits all T baselines together, one batched
-solve per clipping pass.  ``detect_stream`` cuts a sweep train into row
-views of such blocks, and ``detect_peaks`` is the one-row case.
+Detection works on blocks and returns columns: ``detect_block`` takes a
+(T, N) matrix of sweeps on one shared grid, fits all T baselines
+together (one batched solve per clipping pass), and returns a
+``Detection``: the residuals, each row's sigma and one flat peak table,
+built by array operations over the whole block.  ``detect_stream`` cuts
+a sweep train into row views of such blocks, and ``detect_peaks`` is the
+one-row case, read out as ``PeakReport``s.
 """
 
 from __future__ import annotations
@@ -132,6 +135,19 @@ def _median_and_sigma(residual: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return med, 1.4826 * _row_median(np.abs(residual - med))[:, 0]
 
 
+def _kept_after_dilation(outlier: np.ndarray) -> np.ndarray:
+    """Points of each row with no outlier within ``_MASK_DILATION`` points
+    either side: the complement of the dilated outlier mask.  One
+    cumulative sum over the zero-padded rows counts the outliers in every
+    window, exactly, since the counts are integers."""
+    t, n = outlier.shape
+    d = _MASK_DILATION
+    counts = np.zeros((t, n + 2 * d + 1), dtype=np.intp)
+    np.cumsum(outlier, axis=1, out=counts[:, d + 1 : n + d + 1])
+    counts[:, n + d + 1 :] = counts[:, n + d : n + d + 1]
+    return counts[:, 2 * d + 1 :] == counts[:, :n]
+
+
 def _masked_baseline(v: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Sigma-clipped baselines of the rows of ``y``: fit, drop outlying
     points (the peak and its neighbors on each side), refit, and repeat
@@ -141,7 +157,8 @@ def _masked_baseline(v: np.ndarray, y: np.ndarray) -> np.ndarray:
     Each row stops on its own: when its robust sigma reaches the floor,
     when its mask would leave too few points, when its mask is
     unchanged, or after the last pass.  Each pass refits the rows still
-    going together.
+    going together; while that is every row, the pass works on the whole
+    block and gathers and scatters nothing.
 
     A fit depends only on its row and its mask, so a row whose new mask
     equals its mask of two passes back would flip between those two
@@ -152,35 +169,39 @@ def _masked_baseline(v: np.ndarray, y: np.ndarray) -> np.ndarray:
     base = _fit(v, y)
     keep = np.ones(y.shape, dtype=bool)
     # each row's mask and fit one pass back
-    prev_keep = np.empty_like(keep)
-    prev_base = np.empty_like(base)
-    rows = np.arange(len(y))
+    prev_keep = prev_base = None
+    rows = None  # the rows still going; None while that is every row
     for p in range(1, _MASK_PASSES + 1):
-        residual = y[rows] - base[rows]
+        residual = y - base if rows is None else y[rows] - base[rows]
         med, sigma = _median_and_sigma(residual)
         # one-sided: resonance signatures are positive bumps, and points
         # below the fit anchor it against running away near the edges
-        outlier = residual - med >= _MASK_SIGMA * sigma[:, None]
-        dilated = outlier.copy()
-        for shift in range(1, _MASK_DILATION + 1):
-            dilated[:, :-shift] |= outlier[:, shift:]
-            dilated[:, shift:] |= outlier[:, :-shift]
-        new_keep = ~dilated
+        new_keep = _kept_after_dilation(residual - med >= _MASK_SIGMA * sigma[:, None])
         go = (
             (sigma > _SIGMA_FLOOR)
             & (new_keep.sum(axis=1) > v.shape[1])
-            & (new_keep != keep[rows]).any(axis=1)
+            & (new_keep != (keep if rows is None else keep[rows])).any(axis=1)
         )
-        rows, new_keep = rows[go], new_keep[go]
         if p >= 3:
-            cycled = (new_keep == prev_keep[rows]).all(axis=1)
-            # an even number of passes after this one ends the cycle on
-            # the fit of two passes back, an odd number on the current fit
-            if (_MASK_PASSES - p) % 2 == 0:
-                base[rows[cycled]] = prev_base[rows[cycled]]
-            rows, new_keep = rows[~cycled], new_keep[~cycled]
+            back = prev_keep if rows is None else prev_keep[rows]
+            cycled = go & (new_keep == back).all(axis=1)
+            if cycled.any():
+                # an even number of passes after this one ends the cycle on
+                # the fit of two passes back, an odd number on the current fit
+                if (_MASK_PASSES - p) % 2 == 0:
+                    ended = np.flatnonzero(cycled) if rows is None else rows[cycled]
+                    base[ended] = prev_base[ended]
+                go &= ~cycled
+        if rows is None and go.all():
+            prev_keep, keep = keep, new_keep
+            prev_base, base = base, _fit(v, y, new_keep)
+            continue
+        rows = np.flatnonzero(go) if rows is None else rows[go]
         if not len(rows):
             break
+        new_keep = new_keep[go]
+        if prev_keep is None:
+            prev_keep, prev_base = np.empty_like(keep), np.empty_like(base)
         prev_keep[rows] = keep[rows]
         prev_base[rows] = base[rows]
         keep[rows] = new_keep
@@ -188,24 +209,61 @@ def _masked_baseline(v: np.ndarray, y: np.ndarray) -> np.ndarray:
     return base
 
 
+@dataclass(frozen=True)
+class Detection:
+    """Detection of a block of T sweeps on one grid, as read-only columns.
+
+    ``residuals`` (T, N) are the masked-baseline residuals and ``sigma``
+    (T,) each row's robust residual sigma, floored.  The peak table holds
+    P peaks in five (P,) columns: ``row``, grid index ``bin``, vertex
+    ``frequency``, residual ``height`` and ``snr`` (height over the row's
+    sigma).  It is sorted by row, then by height descending, with ties in
+    grid order, so each row's strongest peak comes first."""
+
+    residuals: np.ndarray
+    sigma: np.ndarray
+    row: np.ndarray
+    bin: np.ndarray
+    frequency: np.ndarray
+    height: np.ndarray
+    snr: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in self.__dataclass_fields__:
+            column = np.asarray(getattr(self, name)).view()
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    def reports(self) -> list[list[PeakReport]]:
+        """Each row's peaks as ``PeakReport``s, strongest first."""
+        out: list[list[PeakReport]] = [[] for _ in range(len(self.sigma))]
+        sigma = self.sigma.tolist()
+        for r, f, h, s in zip(
+            self.row.tolist(), self.frequency.tolist(), self.height.tolist(), self.snr.tolist()
+        ):
+            out[r].append(PeakReport(f, h, s, sigma[r]))
+        return out
+
+
 def detect_block(
     frequencies: np.ndarray,
     magnitudes: np.ndarray,
     cfg: DetectorConfig = DetectorConfig(),
-) -> tuple[np.ndarray, list[list[PeakReport]]]:
-    """Baseline residuals and peak reports for a block of sweeps.
+) -> Detection:
+    """Baseline residuals and peak table of a block of sweeps.
 
     ``frequencies`` is the grid (N,) that every row of ``magnitudes``
-    (T, N, in dB) shares.  Returns the (T, N) residuals of the masked
-    baseline fit and, per row, the thresholded local maxima of that
-    residual.
+    (T, N, in dB) shares.  Returns the ``Detection`` of the block: the
+    (T, N) residuals of the masked baseline fit and the thresholded
+    local maxima of each row's residual.
 
     A point is a peak when it strictly exceeds both neighbors and its
     residual height is at or above the threshold (closed comparison).
     Surviving peaks are pruned to the configured minimum separation,
-    strongest first, and returned sorted by height descending.  The
-    reported frequency is refined below the grid step by the vertex of
-    the parabola through the maximum and its two neighbors.
+    strongest first.  The reported frequency is refined below the grid
+    step by the vertex of the parabola through the maximum and its two
+    neighbors, clamped to half a step either side.  The whole table is
+    built by array operations over the block.
     """
     v = _vandermonde(frequencies, cfg.baseline_order)
     f = np.asarray(frequencies, dtype=float)
@@ -214,80 +272,92 @@ def detect_block(
         raise ValueError(f"magnitudes must be (T, {len(f)}), got {y.shape}")
     if not np.all(np.isfinite(y)):
         raise ValueError("magnitudes must be finite")
-    if not len(y):
-        return np.empty(y.shape), []
+    residual = y - _masked_baseline(v, y) if len(y) else np.empty(y.shape)
+    return _peak_table(f, residual, cfg)
 
-    residual = y - _masked_baseline(v, y)
+
+def _peak_table(f: np.ndarray, residual: np.ndarray, cfg: DetectorConfig) -> Detection:
+    """The ``Detection`` of residuals (T, N) on the grid ``f``."""
     sigma = np.maximum(_median_and_sigma(residual)[1], _SIGMA_FLOOR)
     inner = residual[:, 1:-1]
-    candidate = (
-        (inner > residual[:, :-2])
-        & (inner > residual[:, 2:])
-        & (inner >= cfg.peak_threshold)
+    row, bin = np.nonzero(
+        (inner > residual[:, :-2]) & (inner > residual[:, 2:]) & (inner >= cfg.peak_threshold)
     )
-    peaks = [
-        _row_peaks(f, r, float(s), np.flatnonzero(c) + 1, cfg)
-        for r, s, c in zip(residual, sigma, candidate)
-    ]
-    return residual, peaks
+    bin += 1
+    height = residual[row, bin]
+    # np.nonzero lists the candidates by row, then in grid order
+    if len(row) > 1 and (row[1:] == row[:-1]).any():
+        row, bin, height = _strongest_first(f, row, bin, height, cfg.min_peak_separation)
+    frequency = _vertex(f, bin, residual[row, bin - 1], height, residual[row, bin + 1])
+    return Detection(residual, sigma, row, bin, frequency, height, height / sigma[row])
 
 
-def _row_peaks(
-    frequencies: np.ndarray,
-    residual: np.ndarray,
-    sigma: float,
-    candidates: np.ndarray,
-    cfg: DetectorConfig,
-) -> list[PeakReport]:
-    kept: list[int] = []
-    for i in candidates[np.argsort(-residual[candidates], kind="stable")].tolist():
-        if all(
-            abs(frequencies[i] - frequencies[j]) >= cfg.min_peak_separation
-            for j in kept
-        ):
-            kept.append(i)
-    return [
-        PeakReport(
-            peak_frequency=_vertex_frequency(frequencies, residual, i),
-            peak_height=float(residual[i]),
-            snr=float(residual[i] / sigma),
-            baseline_residual_sigma=sigma,
-        )
-        for i in kept
-    ]
+def _vertex(
+    f: np.ndarray, bin: np.ndarray, left: np.ndarray, mid: np.ndarray, right: np.ndarray
+) -> np.ndarray:
+    """Sub-grid peak positions: the vertex of the parabola through the
+    residuals ``left``, ``mid`` and ``right`` at grid points ``bin`` - 1,
+    ``bin`` and ``bin`` + 1, clamped to half a step either side; the grid
+    point itself where the parabola does not open downward."""
+    denom = left - 2.0 * mid + right
+    frequency = f[bin]
+    bent = denom < 0.0
+    if bent.any():
+        b = bin[bent]
+        shift = np.clip(0.5 * (left[bent] - right[bent]) / denom[bent], -0.5, 0.5)
+        frequency[bent] = f[b] + shift * (f[b + 1] - f[b])
+    return frequency
+
+
+def _strongest_first(
+    f: np.ndarray, row: np.ndarray, bin: np.ndarray, height: np.ndarray, separation: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Candidates (listed by row, then in grid order) sorted by row, then
+    by height descending with ties in grid order, less each one closer
+    than ``separation`` to a stronger kept peak of its row.
+
+    The grid is increasing, so a row whose neighboring candidates are all
+    ``separation`` apart has every pair that far apart and keeps all its
+    candidates; only the other rows are pruned, greedily, strongest
+    first."""
+    close = (row[1:] == row[:-1]) & (np.abs(f[bin[1:]] - f[bin[:-1]]) < separation)
+    pruned = np.unique(row[1:][close])
+    order = np.lexsort((-height, row))
+    row, bin, height = row[order], bin[order], height[order]
+    if not len(pruned):
+        return row, bin, height
+    kept = np.ones(len(row), dtype=bool)
+    starts = np.searchsorted(row, pruned)
+    ends = np.searchsorted(row, pruned, side="right")
+    grid = f.tolist()
+    for start, end in zip(starts.tolist(), ends.tolist()):
+        held: list[float] = []
+        for pos, i in enumerate(bin[start:end].tolist(), start):
+            if all(abs(grid[i] - g) >= separation for g in held):
+                held.append(grid[i])
+            else:
+                kept[pos] = False
+    return row[kept], bin[kept], height[kept]
 
 
 def detect_stream(sweeps, cfg: DetectorConfig = DetectorConfig()):
-    """Yield (sweep, residual, peaks) for each sweep of a train, in order.
+    """Yield (chunk, detection) for a sweep train, chunk by chunk in order.
 
     ``sweeps`` is a ``SweepBlock`` or sweeps on one grid (``as_block``).
-    The block is cut into row views of at most ``BLOCK_POINTS`` grid
-    points, and each goes straight to ``detect_block``.
+    The block is cut into ``SweepBlock`` row views of at most
+    ``BLOCK_POINTS`` grid points, and each goes straight to
+    ``detect_block``.
     """
     block = as_block(sweeps)
     rows = max(1, BLOCK_POINTS // max(1, len(block.frequencies)))
     for i in range(0, len(block), rows):
-        # a fresh chunk view per block: zip stops on its last row
         chunk = block[i : i + rows]
-        residuals, peaks = detect_block(chunk.frequencies, chunk.magnitudes_db, cfg)
-        yield from zip(chunk, residuals, peaks)
+        yield chunk, detect_block(chunk.frequencies, chunk.magnitudes_db, cfg)
 
 
 def detect_peaks(sweep: Sweep, cfg: DetectorConfig = DetectorConfig()) -> list[PeakReport]:
     """Peak reports of one sweep: ``detect_block`` on a one-row block."""
-    return detect_block(sweep.frequencies, sweep.magnitudes_db[None, :], cfg)[1][0]
-
-
-def _vertex_frequency(frequencies: np.ndarray, residual: np.ndarray, i: int) -> float:
-    """Sub-grid peak position: vertex of the parabola through the local
-    maximum and its neighbors, clamped to half a step either side."""
-    denom = residual[i - 1] - 2.0 * residual[i] + residual[i + 1]
-    if denom >= 0.0:
-        return float(frequencies[i])
-    shift = 0.5 * (residual[i - 1] - residual[i + 1]) / denom
-    shift = min(max(shift, -0.5), 0.5)
-    step = frequencies[i + 1] - frequencies[i]
-    return float(frequencies[i] + shift * step)
+    return detect_block(sweep.frequencies, sweep.magnitudes_db[None, :], cfg).reports()[0]
 
 
 def compute_snr(traces_with, traces_without, at_frequency: float) -> float:

@@ -17,7 +17,7 @@ import numpy as np
 from . import defaults
 from .bridge import BridgeConfig
 from .circuit import CoilParams, CoupledPair
-from .decode import PRESS_PROFILE, DebounceConfig, decode_stream, foreign_resonator
+from .decode import PRESS_PROFILE, DebounceConfig, decode_stream, foreign_block
 from .detect import DetectorConfig, compute_snr, detect_block, detect_stream
 from .synth import (
     DisturbanceModel,
@@ -148,7 +148,7 @@ def calibrate_coupling(
             block = synthesize_block(
                 cfg, [CoupledPair(reader, sensor, k) for k in ks], bridge, quiet, [0.0] * len(ks)
             )
-            rows = detect_block(block.frequencies, block.magnitudes_db, det)[0]
+            rows = detect_block(block.frequencies, block.magnitudes_db, det).residuals
             residuals.update(zip(ks, rows))
 
     def bisect(target: float) -> float:
@@ -185,7 +185,12 @@ def calibrate_coupling(
         [i / cfg.acquisition_rate for i in range(frames)],
     )
     noisy_mean = float(
-        np.mean([r[lo_bin:hi_bin].max() for _, r, _ in detect_stream(noisy_sweeps, det)])
+        np.mean(
+            np.concatenate([
+                d.residuals[:, lo_bin:hi_bin].max(axis=1)
+                for _, d in detect_stream(noisy_sweeps, det)
+            ])
+        )
     )
     deficit = max(target_height - noisy_mean, 0.0)
     if deficit == 0.0:
@@ -329,11 +334,10 @@ def _metal_frame_rates(pair, bridge, grid, disturb, trials: int, seed: int) -> l
             disturb,
             [i / cfg.acquisition_rate for i in range(METAL_FRAMES)],
         )
-        for peaks in detect_block(frames.frequencies, frames.magnitudes_db, det)[1]:
-            if any(abs(p.peak_frequency - peak_f) <= 2 * cfg.step for p in peaks):
-                detections += 1
-            if foreign_resonator(peaks, PRESS_PROFILE):
-                foreign_flags += 1
+        found = detect_block(frames.frequencies, frames.magnitudes_db, det)
+        near = np.abs(found.frequency - peak_f) <= 2 * cfg.step
+        detections += len(np.unique(found.row[near]))
+        foreign_flags += int(foreign_block(found, PRESS_PROFILE).sum())
     n_frames = trials * METAL_FRAMES
     return [detections / n_frames, foreign_flags / n_frames]
 

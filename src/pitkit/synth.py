@@ -358,7 +358,8 @@ def _add_noise(out: np.ndarray, seed: int, times: list[float], sigma: float) -> 
     """Add to each row of ``out`` the Gaussian noise of its own stream,
     ``SeedSequence([seed, key])`` -> ``PCG64`` with the row's timestamp
     key.  The streams of all rows are seeded at once by
-    ``_pcg64_states``, checked against NumPy's seeding of row 0."""
+    ``_pcg64_states``, checked against NumPy's seeding of row 0, which
+    then draws from the generator NumPy seeded."""
     keys = [_noise_key(t) for t in times]
     states = _pcg64_states(seed, keys)
     bits = np.random.PCG64(np.random.SeedSequence([seed, keys[0]]))
@@ -369,7 +370,8 @@ def _add_noise(out: np.ndarray, seed: int, times: list[float], sigma: float) -> 
             f"(numpy {np.__version__})"
         )
     gen = np.random.Generator(bits)
-    for row, (state, inc) in zip(out, states):
+    out[0] += gen.normal(0.0, sigma, size=out.shape[1])
+    for row, (state, inc) in zip(out[1:], states[1:]):
         bits.state = {
             "bit_generator": "PCG64",
             "state": {"state": state, "inc": inc},

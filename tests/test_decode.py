@@ -3,7 +3,7 @@
 import itertools
 import json
 from types import SimpleNamespace
-from typing import Optional
+from typing import Optional, Sequence
 from unittest import mock
 
 import numpy as np
@@ -16,13 +16,15 @@ from pitkit.decode import (
     InputEvent,
     PROFILE_PRESETS,
     RingProfile,
+    _debounce,
+    classify_block,
     classify_state,
     decode_scroll,
     decode_stream,
     events_to_jsonl,
     foreign_resonator,
 )
-from pitkit.detect import DetectorConfig, PeakReport, detect_stream
+from pitkit.detect import Detection, DetectorConfig, PeakReport, detect_stream
 from pitkit.synth import DisturbanceModel, SweepConfig, scripted_session
 from pitkit.trace import Sweep
 
@@ -193,8 +195,33 @@ class TestDecodeStream:
             DebounceConfig(confirm_frames=0)
 
 
-# Reference: the two state machines decode_stream replaced, kept verbatim
-# (names prefixed) so the one-debouncer decoder can be checked against them.
+# Reference: the per-frame classifier classify_block replaced, and the two
+# state machines decode_stream replaced, kept verbatim (names prefixed) so
+# the block classifier and the one-debouncer decoder can be checked
+# against them.  The state machines read frames from ``detected_frames``.
+def reference_classify_state(peaks: Sequence[PeakReport], profile: RingProfile):
+    if profile.kind == "scroll":
+        active = set()
+        for peak in peaks:
+            for s in profile.states:
+                if abs(peak.peak_frequency - s.frequency) <= profile.tolerance:
+                    active.add(s.label)
+        return frozenset(active)
+    if not peaks:
+        return None
+    strongest = max(peaks, key=lambda p: p.peak_height)
+    nearest = min(profile.states, key=lambda s: abs(strongest.peak_frequency - s.frequency))
+    if abs(strongest.peak_frequency - nearest.frequency) <= profile.tolerance:
+        return nearest.label
+    return None
+
+
+def detected_frames(sweeps, det):
+    """(timestamp, peaks) of each frame of ``detect_stream``'s chunks."""
+    for chunk, detection in detect_stream(sweeps, det):
+        yield from zip(chunk.timestamps.tolist(), detection.reports())
+
+
 def _reference_event_name(profile: RingProfile, label: str, previous: Optional[str]) -> Optional[str]:
     if profile.kind == "press":
         if label == "off":
@@ -222,8 +249,8 @@ def reference_decode_stream(
     candidate: Optional[str] = None
     run = 0
     idle_run = 0
-    for sweep, _, peaks in detect_stream(sweeps, det):
-        observed = classify_state(peaks, profile)
+    for timestamp, peaks in detected_frames(sweeps, det):
+        observed = reference_classify_state(peaks, profile)
         idle_run = idle_run + 1 if observed in (None, idle) else 0
 
         if observed is None or observed == confirmed:
@@ -241,7 +268,7 @@ def reference_decode_stream(
                 confidence = max((p.snr for p in peaks), default=0.0)
                 events.append(
                     InputEvent(
-                        time=float(sweep.timestamp),
+                        time=float(timestamp),
                         ring=profile.name,
                         event=name,
                         confidence=confidence,
@@ -255,7 +282,7 @@ def reference_decode_stream(
                 strongest = max(peaks, key=lambda p: p.peak_height)
                 events.append(
                     InputEvent(
-                        time=float(sweep.timestamp),
+                        time=float(timestamp),
                         ring=profile.name,
                         event=name,
                         confidence=strongest.snr,
@@ -269,8 +296,8 @@ def _reference_decode_scroll_stream(sweeps, profile, det, deb) -> list[InputEven
     candidate: Optional[frozenset] = None
     run = 0
     timeline: list[tuple] = []  # (timestamp, confirmed set, snr)
-    for sweep, _, peaks in detect_stream(sweeps, det):
-        observed = classify_state(peaks, profile)
+    for timestamp, peaks in detected_frames(sweeps, det):
+        observed = reference_classify_state(peaks, profile)
         snr = max((p.snr for p in peaks), default=0.0)
         if observed == confirmed:
             candidate, run = None, 0
@@ -282,7 +309,7 @@ def _reference_decode_scroll_stream(sweeps, profile, det, deb) -> list[InputEven
             if run >= deb.confirm_frames:
                 confirmed = observed
                 candidate, run = None, 0
-        timeline.append((float(sweep.timestamp), confirmed, snr))
+        timeline.append((float(timestamp), confirmed, snr))
 
     steps = decode_scroll([entry[1] for entry in timeline])
     events = []
@@ -299,21 +326,76 @@ def passthrough(frames, det):
     return frames
 
 
+def detection_of(rows):
+    """A ``Detection`` of frames given as lists of (frequency, height,
+    sigma) peaks, its table sorted as ``detect_block`` sorts it: by
+    frame, then by height descending, ties in the order given."""
+    table = sorted(
+        ((t, -h, k, f, h, sigma) for t, peaks in enumerate(rows)
+         for k, (f, h, sigma) in enumerate(peaks)),
+        key=lambda entry: entry[:3],
+    )
+    sigmas = [peaks[0][2] if peaks else 1.0 for peaks in rows]
+    return Detection(
+        residuals=np.empty((len(rows), 0)),
+        sigma=np.array(sigmas, dtype=float),
+        row=np.array([e[0] for e in table], dtype=np.intp),
+        bin=np.zeros(len(table), dtype=np.intp),
+        frequency=np.array([e[3] for e in table], dtype=float),
+        height=np.array([e[4] for e in table], dtype=float),
+        snr=np.array([e[4] / e[5] for e in table], dtype=float),
+    )
+
+
 @st.composite
-def peak_stream(draw, profile):
-    """Detector output for a random frame train: runs of repeated frames,
-    each frame holding 0-3 peaks in or out of the profile's bands.  The
-    peaks of one frame share a residual sigma, as ``detect_block``'s do."""
+def frame_peaks(draw, profile):
+    """A random frame train as lists of (frequency, height, sigma) peaks:
+    runs of repeated frames, each holding 0-3 peaks in or out of the
+    profile's bands, equal heights included.  The peaks of one frame
+    share a residual sigma, as ``detect_block``'s do."""
     in_band = st.sampled_from(profile.states).flatmap(
         lambda s: st.floats(s.frequency - profile.tolerance, s.frequency + profile.tolerance)
     )
     frequency = st.one_of(in_band, st.floats(26.5e6, 30.5e6))
+    height = st.sampled_from([0.02, 0.05]) | st.floats(1e-3, 0.2)
     rows = []
     for count in draw(st.lists(st.integers(1, 5), max_size=12)):
         sigma = draw(st.floats(1e-4, 1e-2))
-        heights = draw(st.lists(st.floats(1e-3, 0.2), max_size=3))
-        rows += [[PeakReport(draw(frequency), h, h / sigma, sigma) for h in heights]] * count
-    return [(SimpleNamespace(timestamp=i / 5.0), None, peaks) for i, peaks in enumerate(rows)]
+        peaks = [(draw(frequency), h, sigma) for h in draw(st.lists(height, max_size=3))]
+        rows += [peaks] * count
+    return rows
+
+
+@st.composite
+def peak_stream(draw, profile):
+    """Detector output for a random frame train, as ``detect_stream``
+    yields it: (chunk, detection) pairs of 1-7 frames each."""
+    rows = draw(frame_peaks(profile))
+    stream = []
+    start = 0
+    while start < len(rows):
+        stop = min(len(rows), start + draw(st.integers(1, 7)))
+        chunk = SimpleNamespace(timestamps=np.arange(start, stop) / 5.0)
+        stream.append((chunk, detection_of(rows[start:stop])))
+        start = stop
+    return stream
+
+
+def frame_loop_debounce(codes, confirm_frames):
+    """The frame-by-frame confirm-N loop the run-length debouncer
+    replaced: the frames at which it confirms a new code."""
+    confirmed, candidate, run = 0, None, 0
+    frames = []
+    for i, observed in enumerate(codes):
+        if observed == confirmed:
+            candidate, run = None, 0
+            continue
+        run = run + 1 if observed == candidate else 1
+        candidate = observed
+        if run >= confirm_frames:
+            frames.append(i)
+            confirmed, candidate, run = candidate, None, 0
+    return frames
 
 
 class TestOneDebouncer:
@@ -321,13 +403,44 @@ class TestOneDebouncer:
     @settings(max_examples=300, deadline=None)
     def test_matches_reference_on_peak_streams(self, data, name, confirm_frames):
         profile = PROFILE_PRESETS[name]
-        frames = data.draw(peak_stream(profile))
+        stream = data.draw(peak_stream(profile))
         deb = DebounceConfig(confirm_frames=confirm_frames)
         with mock.patch.object(decode, "detect_stream", passthrough), \
                 mock.patch.dict(globals(), detect_stream=passthrough):
-            got = decode_stream(frames, profile, deb=deb)
-            want = reference_decode_stream(frames, profile, deb=deb)
+            got = decode_stream(stream, profile, deb=deb)
+            want = reference_decode_stream(stream, profile, deb=deb)
         assert [e.to_json() for e in got] == [e.to_json() for e in want]
+
+    @given(
+        codes=st.lists(st.integers(0, 3), max_size=200)
+        | st.lists(st.sampled_from([0, 5]), max_size=200),
+        confirm_frames=st.integers(1, 4),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_run_length_debouncer_equals_frame_loop(self, codes, confirm_frames):
+        got = _debounce(np.array(codes, dtype=np.intp), confirm_frames)
+        assert got.tolist() == frame_loop_debounce(codes, confirm_frames)
+
+    @given(st.data(), st.sampled_from(sorted(PROFILE_PRESETS)))
+    @settings(max_examples=200, deadline=None)
+    def test_block_classifier_equals_per_frame_rule(self, data, name):
+        """Each frame's code names the state the per-frame rule gives, with
+        no in-band peak read as idle, and its top SNR is the frame's
+        highest peak SNR, 0.0 without peaks.  ``classify_state`` gives the
+        per-frame rule's answer on the peaks in any order."""
+        profile = PROFILE_PRESETS[name]
+        rows = data.draw(frame_peaks(profile))
+        detection = detection_of(rows)
+        codes, top = classify_block(detection, profile)
+        idle = frozenset() if profile.kind == "scroll" else profile.idle_label
+        for code, snr, peaks, given_order in zip(
+            codes.tolist(), top.tolist(), detection.reports(), rows
+        ):
+            want = reference_classify_state(peaks, profile)
+            assert decode._state_of(profile, code) == (idle if want is None else want)
+            assert snr == max((p.snr for p in peaks), default=0.0)
+            unsorted = [PeakReport(f, h, h / sigma, sigma) for f, h, sigma in given_order]
+            assert classify_state(unsorted, profile) == reference_classify_state(unsorted, profile)
 
     @pytest.mark.parametrize("name", sorted(PROFILE_PRESETS))
     def test_matches_reference_on_synthesized_sessions(self, name):

@@ -11,7 +11,10 @@ from pitkit.decode import PROFILE_PRESETS, decode_stream
 from pitkit.detect import (
     BLOCK_POINTS,
     DetectorConfig,
+    PeakReport,
+    _peak_table,
     _row_median,
+    _vertex,
     compute_snr,
     detect_block,
     detect_peaks,
@@ -294,6 +297,147 @@ def blocks(draw, max_rows=5):
     return frequencies, magnitudes, DetectorConfig(baseline_order=order)
 
 
+# Reference: the per-row peak picker the vectorised peak table replaced,
+# kept verbatim (names prefixed), applied to each row of a Detection's
+# residuals and sigmas.
+def reference_row_peaks(
+    frequencies: np.ndarray,
+    residual: np.ndarray,
+    sigma: float,
+    candidates: np.ndarray,
+    cfg: DetectorConfig,
+) -> list[PeakReport]:
+    kept: list[int] = []
+    for i in candidates[np.argsort(-residual[candidates], kind="stable")].tolist():
+        if all(
+            abs(frequencies[i] - frequencies[j]) >= cfg.min_peak_separation
+            for j in kept
+        ):
+            kept.append(i)
+    return [
+        PeakReport(
+            peak_frequency=reference_vertex_frequency(frequencies, residual, i),
+            peak_height=float(residual[i]),
+            snr=float(residual[i] / sigma),
+            baseline_residual_sigma=sigma,
+        )
+        for i in kept
+    ]
+
+
+def reference_vertex_frequency(frequencies: np.ndarray, residual: np.ndarray, i: int) -> float:
+    """Sub-grid peak position: vertex of the parabola through the local
+    maximum and its neighbors, clamped to half a step either side."""
+    denom = residual[i - 1] - 2.0 * residual[i] + residual[i + 1]
+    if denom >= 0.0:
+        return float(frequencies[i])
+    shift = 0.5 * (residual[i - 1] - residual[i + 1]) / denom
+    shift = min(max(shift, -0.5), 0.5)
+    step = frequencies[i + 1] - frequencies[i]
+    return float(frequencies[i] + shift * step)
+
+
+def reference_reports(f, detection, cfg):
+    residual = detection.residuals
+    inner = residual[:, 1:-1]
+    candidate = (
+        (inner > residual[:, :-2])
+        & (inner > residual[:, 2:])
+        & (inner >= cfg.peak_threshold)
+    )
+    return [
+        reference_row_peaks(f, r, float(s), np.flatnonzero(c) + 1, cfg)
+        for r, s, c in zip(residual, detection.sigma, candidate)
+    ]
+
+
+def report_bits(rows):
+    """Every float of every report, as its hex string."""
+    return [
+        [tuple(float(x).hex() for x in (p.peak_frequency, p.peak_height, p.snr,
+                                         p.baseline_residual_sigma)) for p in row]
+        for row in rows
+    ]
+
+
+@st.composite
+def residual_tables(draw):
+    """(grid, residuals, config): rows of residuals drawn from a few
+    levels, so rows hold many candidates and equal heights, on a grid
+    with jittered steps, with a minimum separation of 0, under one step,
+    over one step or over several."""
+    n = draw(st.integers(3, 120))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    step = draw(st.floats(1e3, 200e3))
+    f = 27e6 + step * (np.arange(n) + rng.uniform(-0.3, 0.3, n))
+    levels = draw(st.integers(2, 8))
+    residual = rng.integers(0, levels, (draw(st.integers(0, 6)), n)) * draw(
+        st.sampled_from([0.01, 0.013, 0.25])
+    )
+    if draw(st.booleans()):
+        residual = residual + rng.normal(0.0, 0.002, residual.shape)
+    separation = draw(st.sampled_from([0.0, 0.5, 1.5, 3.0, 10.0])) * step
+    cfg = DetectorConfig(
+        peak_threshold=draw(st.sampled_from([0.001, 0.01, 0.02, 0.05])),
+        min_peak_separation=separation,
+    )
+    return f, residual, cfg
+
+
+class TestPeakTable:
+    @given(table=residual_tables())
+    @settings(max_examples=200, deadline=None)
+    def test_reports_equal_row_peaks_reference(self, table):
+        f, residual, cfg = table
+        detection = _peak_table(f, residual, cfg)
+        assert report_bits(detection.reports()) == report_bits(
+            reference_reports(f, detection, cfg)
+        )
+
+    @given(block=blocks(max_rows=5), separation=st.sampled_from([None, 0.0, 200e3, 1e6]))
+    @settings(max_examples=60, deadline=None)
+    def test_detect_block_equals_row_peaks_reference(self, block, separation):
+        f, y, cfg = block
+        if separation is not None:
+            cfg = DetectorConfig(cfg.baseline_order, cfg.peak_threshold, separation)
+        detection = detect_block(f, y, cfg)
+        assert report_bits(detection.reports()) == report_bits(
+            reference_reports(f, detection, cfg)
+        )
+
+    @given(
+        values=st.lists(
+            st.tuples(*[st.sampled_from([0.0, 0.02, 0.03, 0.05]) | st.floats(-1.0, 1.0)] * 3),
+            max_size=20,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_vertex_equals_reference_including_flat_and_valley(self, values, seed):
+        """Any three residuals, peaked or not: where the parabola does not
+        open downward (denominator >= 0) both give the grid point."""
+        rng = np.random.default_rng(seed)
+        f = 27e6 + 60e3 * (np.arange(len(values) + 2) + rng.uniform(-0.3, 0.3, len(values) + 2))
+        bins = np.arange(1, len(values) + 1)
+        left, mid, right = (np.array([v[k] for v in values], dtype=float) for k in range(3))
+        got = _vertex(f, bins, left, mid, right)
+        for i, (l, m, r) in zip(bins.tolist(), values):
+            residual = np.zeros(len(f))
+            residual[i - 1 : i + 2] = (l, m, r)
+            assert got[i - 1].hex() == reference_vertex_frequency(f, residual, i).hex()
+
+    def test_columns_are_sorted_and_read_only(self):
+        y = sloped_background() + gaussian_peak(28.0e6, 0.05) + gaussian_peak(29.0e6, 0.1)
+        detection = detect_block(GRID, np.stack([y, sloped_background(), y]))
+        assert detection.row.tolist() == [0, 0, 2, 2]
+        assert detection.height[0] > detection.height[1]
+        assert np.array_equal(detection.snr, detection.height / detection.sigma[detection.row])
+        for name in ("residuals", "sigma", "row", "bin", "frequency", "height", "snr"):
+            assert not getattr(detection, name).flags.writeable
+        assert detection.reports()[1] == []
+        assert isinstance(detection.reports()[0][0], PeakReport)
+
+
 class TestDetectBlock:
     @given(block=blocks())
     @settings(max_examples=60, deadline=None)
@@ -301,10 +445,12 @@ class TestDetectBlock:
         """Detecting a block gives each row exactly what detecting it alone
         does, so block boundaries never change a decoded stream."""
         f, y, cfg = block
-        residual, peaks = detect_block(f, y, cfg)
+        detection = detect_block(f, y, cfg)
+        residual, peaks = detection.residuals, detection.reports()
         assert residual.shape == y.shape and len(peaks) == len(y)
         for t in range(len(y)):
-            row_residual, (row_peaks,) = detect_block(f, y[t : t + 1], cfg)
+            row = detect_block(f, y[t : t + 1], cfg)
+            row_residual, (row_peaks,) = row.residuals, row.reports()
             assert np.array_equal(residual[t], row_residual[0])
             assert peaks[t] == row_peaks
 
@@ -319,7 +465,8 @@ class TestDetectBlock:
         relative error near 1e-11 (the oracle's is the larger against a
         40-digit solution), so the bound also has a 1e-10 relative part."""
         f, y, cfg = block
-        residual, peaks = detect_block(f, y, cfg)
+        detection = detect_block(f, y, cfg)
+        residual, peaks = detection.residuals, detection.reports()
         for t in range(len(y)):
             expected = reference_residual(f, y[t], cfg.baseline_order)
             np.testing.assert_allclose(residual[t], expected, rtol=1e-10, atol=1e-9)
@@ -344,12 +491,13 @@ class TestDetectBlock:
         assert np.array_equal(_row_median(a), expected)
 
     def test_empty_block(self):
-        residual, peaks = detect_block(GRID, np.empty((0, 51)))
-        assert residual.shape == (0, 51) and peaks == []
+        detection = detect_block(GRID, np.empty((0, 51)))
+        assert detection.residuals.shape == (0, 51) and detection.reports() == []
 
     def test_one_row_block_is_detect_peaks(self):
         y = sloped_background() + gaussian_peak(28.5e6, 0.1)
-        residual, (peaks,) = detect_block(GRID, y[None, :])
+        detection = detect_block(GRID, y[None, :])
+        residual, (peaks,) = detection.residuals, detection.reports()
         assert residual.shape == (1, 51)
         assert peaks == detect_peaks(Sweep(GRID, y))
         assert len(peaks) == 1
@@ -537,10 +685,22 @@ class TestDetectStream:
         block it came from."""
         press = PROFILE_PRESETS["press"]
         block = press_session(60e3, 3, 24.0)
-        assert_same_stream(list(detect_stream(iter(block))), list(detect_stream(block)))
+        assert_same_stream(
+            stream_rows(detect_stream(iter(block))), stream_rows(detect_stream(block))
+        )
         events = decode_stream(block, press)
         assert len(events) == 2 * 6
         assert decode_stream(iter(block), press) == events
+
+
+def stream_rows(stream):
+    """(sweep, residual, peaks) for each row of ``detect_stream``'s
+    (chunk, detection) pairs."""
+    return [
+        row
+        for chunk, detection in stream
+        for row in zip(chunk, detection.residuals, detection.reports())
+    ]
 
 
 def assert_same_stream(got, expected):
@@ -566,8 +726,8 @@ class TestDetectStreamOnBlock:
         assert len(block) == frames
         if frames > 1:
             assert frames > BLOCK_POINTS // len(block.frequencies)
-        got = list(detect_stream(block))
-        assert_same_stream(got, list(detect_stream(list(block))))
+        got = stream_rows(detect_stream(block))
+        assert_same_stream(got, stream_rows(detect_stream(list(block))))
         assert [s.timestamp for s, _, _ in got] == block.timestamps.tolist()
 
     def test_block_goes_to_detect_block_as_views(self, monkeypatch):
@@ -584,7 +744,7 @@ class TestDetectStreamOnBlock:
             return original(frequencies, magnitudes, cfg)
 
         monkeypatch.setattr(detect, "detect_block", spy)
-        assert len(list(detect_stream(block))) == 200
+        assert len(stream_rows(detect_stream(block))) == 200
         assert calls == [(True, True)] * 3
 
     @pytest.mark.parametrize("name", sorted(PROFILE_PRESETS))

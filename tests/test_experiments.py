@@ -107,7 +107,7 @@ class TestCalibrateCoupling:
             bridge,
             DisturbanceModel(noise_sigma=0.0),
         )
-        residual = detect_block(sweep.frequencies, sweep.magnitudes_db[None, :])[0][0]
+        residual = detect_block(sweep.frequencies, sweep.magnitudes_db[None, :]).residuals[0]
         height = float(residual.max())
         assert height == pytest.approx(
             target * defaults.NOISE_SIGMA_DB, rel=0.35
