@@ -23,11 +23,9 @@ from .decode import (
     PROFILE_PRESETS,
     RingProfile,
     classify_block,
-    classify_state,
     decode_scroll,
     decode_stream,
     foreign_block,
-    foreign_resonator,
 )
 from .detect import (
     Detection,

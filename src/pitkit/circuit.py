@@ -27,7 +27,6 @@ class CoilParams:
     inductance: float
     resistance: float
     capacitance: float
-    label: str = ""
 
     def __post_init__(self) -> None:
         if self.inductance <= 0:

@@ -2,16 +2,18 @@
 
 Each ring profile is a designed map from mechanical switch states to
 distinct resonant frequencies with a tolerance band per state.  Every
-ring is decoded by one confirm-N debouncer over per-frame observations,
-read from a block's peak table without per-frame objects:
+ring is decoded by one confirm-N debouncer over per-frame observations.
+They are read from the columns of the ``Detection`` that
+``detect_block`` returns, its one input; there is no per-frame path:
 ``classify_block`` gives each frame an integer code, the index of the
-state its peaks classify to or, for the scroll ring, the bitmask of the
-reeds with a peak in band.  A frame without an in-band peak observes
-the idle state, code 0; that one rule, in ``classify_block``, is where a
-held press whose resonance fades under the detection threshold splits
-into release and re-press.  The debouncer walks runs of equal codes,
-not frames.  Press, slide and joystick rings name each confirmed
-transition; scroll rings step over the confirmed reed sets.
+state its strongest peak classifies to or, for the scroll ring, the
+bitmask of the reeds with a peak in band.  A frame without an in-band
+peak observes the idle state, code 0; that one rule, in
+``classify_block``, is where a held press whose resonance fades under
+the detection threshold splits into release and re-press.  The
+debouncer walks runs of equal codes, not frames.  Press, slide and
+joystick rings name each confirmed transition; scroll rings step over
+the confirmed reed sets.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .detect import Detection, DetectorConfig, PeakReport, detect_stream
+from .detect import Detection, DetectorConfig, detect_stream
 
 KINDS = ("press", "slide", "joystick", "scroll")
 
@@ -189,30 +191,6 @@ PROFILE_PRESETS = {
 }
 
 
-def _state_codes(detection: Detection, profile: RingProfile) -> np.ndarray:
-    """Integer state code of each frame of a block.
-
-    Non-scroll profiles: the strongest peak wins (a single ring has one
-    resonance; extra peaks are artifacts).  The code is the index of the
-    state nearest that peak if within tolerance, else -1.  Scroll
-    profiles: the bitmask of the reeds with a peak in band (bit j for
-    ``profile.states[j]``); several reeds may be active at once."""
-    states = np.array([s.frequency for s in profile.states])
-    row, frequency = detection.row, detection.frequency
-    if profile.kind == "scroll":
-        in_band = np.abs(frequency[:, None] - states) <= profile.tolerance
-        codes = np.zeros(len(detection.sigma), dtype=np.intp)
-        np.bitwise_or.at(codes, row, (in_band << np.arange(len(states))).sum(axis=1))
-        return codes
-    codes = np.full(len(detection.sigma), -1, dtype=np.intp)
-    first = _strongest(row)
-    distance = np.abs(frequency[first, None] - states)
-    nearest = distance.argmin(axis=1)
-    in_band = distance[np.arange(len(first)), nearest] <= profile.tolerance
-    codes[row[first[in_band]]] = nearest[in_band]
-    return codes
-
-
 def _strongest(row: np.ndarray) -> np.ndarray:
     """Index of each row's first, strongest, peak in a sorted table."""
     if not len(row):
@@ -220,59 +198,44 @@ def _strongest(row: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.concatenate(([True], row[1:] != row[:-1])))
 
 
-def _one_row(peaks: Sequence[PeakReport]) -> Detection:
-    """A one-row ``Detection`` of one frame's peaks, strongest first; of
-    equally strong peaks the first listed comes first, as ``max`` picks.
-    It holds no residuals, and its bins are placeholders."""
-    ordered = sorted(peaks, key=lambda p: -p.peak_height)
-    index = np.zeros(len(ordered), dtype=np.intp)
-    return Detection(
-        residuals=np.empty((1, 0)),
-        sigma=np.array([ordered[0].baseline_residual_sigma if ordered else 0.0]),
-        row=index,
-        bin=index,
-        frequency=np.array([p.peak_frequency for p in ordered], dtype=float),
-        height=np.array([p.peak_height for p in ordered], dtype=float),
-        snr=np.array([p.snr for p in ordered], dtype=float),
-    )
-
-
 def classify_block(detection: Detection, profile: RingProfile) -> tuple[np.ndarray, np.ndarray]:
     """The observation of each frame of a block, as (codes, top SNRs).
 
-    A code is the frame's state index for press, slide and joystick
-    rings and its bitmask of in-band reeds for scroll rings (see
-    ``_state_codes``), so the idle observation is 0 on every ring.  The
-    top SNR is the frame's highest peak SNR, 0.0 without peaks."""
-    codes = _state_codes(detection, profile)
-    # A frame without an in-band peak observes the idle state.  This line
-    # makes a held press whose resonance fades under the detection
-    # threshold for ``confirm_frames`` frames decode as press-down,
-    # press-up, press-down; a fix for that belongs here.
-    codes[codes < 0] = 0
+    Press, slide and joystick rings: the strongest peak wins (a single
+    ring has one resonance; extra peaks are artifacts), and the code is
+    the index of the state nearest it if within tolerance.  Scroll
+    rings: the code is the bitmask of the reeds with a peak in band (bit
+    j for ``profile.states[j]``); several reeds may be active at once.
+    The idle observation is code 0 on every ring.  The top SNR is the
+    SNR of the frame's strongest peak, which is its highest, since the
+    peaks of a row share one sigma; 0.0 without peaks."""
+    states = np.array([s.frequency for s in profile.states])
+    row, frequency = detection.row, detection.frequency
+    # A frame without an in-band peak observes idle; a fix for the
+    # held-press split belongs here: a held press whose resonance fades
+    # under the detection threshold for ``confirm_frames`` frames decodes
+    # as press-down, press-up, press-down.
+    codes = np.zeros(len(detection.sigma), dtype=np.intp)
+    first = _strongest(row)
+    if profile.kind == "scroll":
+        in_band = np.abs(frequency[:, None] - states) <= profile.tolerance
+        np.bitwise_or.at(codes, row, (in_band << np.arange(len(states))).sum(axis=1))
+    else:
+        distance = np.abs(frequency[first, None] - states)
+        nearest = distance.argmin(axis=1)
+        in_band = distance[np.arange(len(first)), nearest] <= profile.tolerance
+        codes[row[first[in_band]]] = nearest[in_band]
     top = np.zeros(len(codes))
-    first = _strongest(detection.row)
-    if len(first):
-        top[detection.row[first]] = np.maximum.reduceat(detection.snr, first)
+    top[row[first]] = detection.snr[first]
     return codes, top
 
 
-def classify_state(peaks: Sequence[PeakReport], profile: RingProfile):
-    """Map one frame's detected peaks to a profile state.
-
-    Non-scroll profiles: the label of the state nearest the strongest
-    peak if within tolerance, else None.  Scroll profiles: the frozenset
-    of reed labels with a peak in band.  The one-row case of the rule
-    ``classify_block`` applies to a block."""
-    return _state_of(profile, int(_state_codes(_one_row(peaks), profile)[0]))
-
-
 def _state_of(profile: RingProfile, code: int):
-    """The state a code stands for: a label, None for -1, or for a scroll
-    ring the frozenset of reed labels."""
+    """The state a code stands for: a label, or for a scroll ring the
+    frozenset of reed labels."""
     if profile.kind == "scroll":
         return frozenset(s.label for j, s in enumerate(profile.states) if code >> j & 1)
-    return None if code < 0 else profile.states[code].label
+    return profile.states[code].label
 
 
 def foreign_block(detection: Detection, profile: RingProfile) -> np.ndarray:
@@ -284,11 +247,6 @@ def foreign_block(detection: Detection, profile: RingProfile) -> np.ndarray:
     top = max(s.frequency for s in profile.states)
     flags[detection.row[first]] = detection.frequency[first] > top + profile.tolerance
     return flags
-
-
-def foreign_resonator(peaks: Sequence[PeakReport], profile: RingProfile) -> bool:
-    """``foreign_block``'s flag for one frame's peaks."""
-    return bool(foreign_block(_one_row(peaks), profile)[0])
 
 
 def decode_scroll(activation_sequence: Sequence[frozenset]) -> list[tuple]:

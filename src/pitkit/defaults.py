@@ -1,8 +1,10 @@
 """Default constants for the reader/ring chain.
 
-Experiments and the CLI share this one set of calibrated values.  The
-sweep-grid and detector defaults are the field defaults of
-``SweepConfig`` and ``DetectorConfig``.
+Experiments and the CLI share this one set of calibrated values, and
+``synth.GeometryScenario`` and ``synth.DisturbanceModel`` take their
+reference scene and noise defaults from it.  The sweep-grid and detector
+defaults are the field defaults of ``SweepConfig`` and
+``DetectorConfig``.
 """
 
 from __future__ import annotations
@@ -56,7 +58,6 @@ def reader_coil() -> CoilParams:
         capacitance=capacitance_for_resonance(
             READER_INDUCTANCE_H, READER_FREQUENCY_HZ
         ),
-        label="reader-6turn",
     )
 
 
@@ -68,13 +69,12 @@ def ring_coil(frequency: float, turns: int = 8) -> CoilParams:
         inductance=inductance,
         resistance=resistance + n_caps * CAPACITOR_ESR_OHM,
         capacitance=capacitance_for_resonance(inductance, frequency),
-        label=f"ring-{turns}turn",
     )
 
 
-def bridge_config(mismatch_fraction: float = MISMATCH_FRACTION) -> BridgeConfig:
+def bridge_config() -> BridgeConfig:
     return BridgeConfig(
         amplifier_resistance=R_AMP_OHM,
         input_amplitude=INPUT_AMPLITUDE_V,
-        mismatch_fraction=mismatch_fraction,
+        mismatch_fraction=MISMATCH_FRACTION,
     )

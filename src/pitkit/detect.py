@@ -215,15 +215,14 @@ class Detection:
 
     ``residuals`` (T, N) are the masked-baseline residuals and ``sigma``
     (T,) each row's robust residual sigma, floored.  The peak table holds
-    P peaks in five (P,) columns: ``row``, grid index ``bin``, vertex
-    ``frequency``, residual ``height`` and ``snr`` (height over the row's
-    sigma).  It is sorted by row, then by height descending, with ties in
-    grid order, so each row's strongest peak comes first."""
+    P peaks in four (P,) columns: ``row``, vertex ``frequency``, residual
+    ``height`` and ``snr`` (height over the row's sigma).  It is sorted
+    by row, then by height descending, with ties in grid order, so each
+    row's strongest peak comes first."""
 
     residuals: np.ndarray
     sigma: np.ndarray
     row: np.ndarray
-    bin: np.ndarray
     frequency: np.ndarray
     height: np.ndarray
     snr: np.ndarray
@@ -289,7 +288,7 @@ def _peak_table(f: np.ndarray, residual: np.ndarray, cfg: DetectorConfig) -> Det
     if len(row) > 1 and (row[1:] == row[:-1]).any():
         row, bin, height = _strongest_first(f, row, bin, height, cfg.min_peak_separation)
     frequency = _vertex(f, bin, residual[row, bin - 1], height, residual[row, bin + 1])
-    return Detection(residual, sigma, row, bin, frequency, height, height / sigma[row])
+    return Detection(residual, sigma, row, frequency, height, height / sigma[row])
 
 
 def _vertex(

@@ -83,17 +83,16 @@ def measure_snr(
     bridge: BridgeConfig,
     cfg: SweepConfig,
     disturb: DisturbanceModel,
-    n_traces: int = SNR_TRACE_COUNT,
 ) -> float:
-    """Empirical SNR from ``n_traces`` with-sensor and without-sensor
-    sweeps, one block each, evaluated at the noise-free peak location."""
+    """Empirical SNR from ``SNR_TRACE_COUNT`` with-sensor and
+    without-sensor sweeps, one block each, evaluated at the noise-free
+    peak location."""
     at_frequency, _ = noiseless_peak(pair, bridge, cfg, disturb)
-    times = [i / cfg.acquisition_rate for i in range(2 * n_traces)]
+    n = SNR_TRACE_COUNT
+    times = [i / cfg.acquisition_rate for i in range(2 * n)]
     pair_off = CoupledPair(pair.reader, pair.sensor, 0.0)
-    traces_with = synthesize_block(cfg, [pair] * n_traces, bridge, disturb, times[:n_traces])
-    traces_without = synthesize_block(
-        cfg, [pair_off] * n_traces, bridge, disturb, times[n_traces:]
-    )
+    traces_with = synthesize_block(cfg, [pair] * n, bridge, disturb, times[:n])
+    traces_without = synthesize_block(cfg, [pair_off] * n, bridge, disturb, times[n:])
     return compute_snr(traces_with, traces_without, at_frequency)
 
 

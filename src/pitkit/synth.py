@@ -26,6 +26,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
+from . import defaults
 from .bridge import BridgeConfig, bridge_output, to_db_magnitude
 from .circuit import CoilParams, CoupledPair, capacitance_for_resonance, load_impedance, sensor_impedance
 from .trace import Sweep, SweepBlock, as_block
@@ -73,10 +74,10 @@ class SweepConfig:
 class GeometryScenario:
     """Ring-to-wristband geometry mapped to a coupling coefficient."""
 
-    distance: float = 0.13
+    distance: float = defaults.REFERENCE_DISTANCE_M
     bend_angle: float = 0.0
-    reference_coupling: float = 1e-3
-    reference_distance: float = 0.13
+    reference_coupling: float = defaults.K_REFERENCE
+    reference_distance: float = defaults.REFERENCE_DISTANCE_M
 
     def __post_init__(self) -> None:
         if self.distance <= 0:
@@ -91,7 +92,7 @@ class GeometryScenario:
 
 @dataclass(frozen=True)
 class DisturbanceModel:
-    noise_sigma: float = 0.002
+    noise_sigma: float = defaults.NOISE_SIGMA_DB
     amplitude_drift: float = 0.0
     frequency_drift: float = 0.0
     metal_baseline: Optional[tuple] = None
@@ -271,7 +272,6 @@ def _shifted_sensor(sensor: CoilParams, shift_hz: float) -> CoilParams:
         inductance=sensor.inductance,
         resistance=sensor.resistance,
         capacitance=capacitance_for_resonance(sensor.inductance, f0),
-        label=sensor.label,
     )
 
 

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from pitkit import defaults
+from pitkit import decode, defaults
 from pitkit.bridge import BridgeConfig, bridge_output
 from pitkit.circuit import (
     CoilParams,
@@ -20,8 +20,8 @@ from pitkit.circuit import (
     reflected_impedance,
 )
 from pitkit.dca import design_dca
-from pitkit.decode import PROFILE_PRESETS, classify_state, decode_scroll
-from pitkit.detect import compute_snr, detect_peaks
+from pitkit.decode import PROFILE_PRESETS, classify_block, decode_scroll
+from pitkit.detect import compute_snr, detect_block, detect_peaks
 from pitkit.experiments import (
     SNR_STUDIES,
     ExperimentSpec,
@@ -246,7 +246,8 @@ def test_criterion_9_every_profile_state_classifies():
         )
         for i, label in enumerate(labels):
             sweep = sweeps[(i * 2 + 2) * 5 + 2]
-            observed = classify_state(detect_peaks(sweep), profile)
+            detection = detect_block(sweep.frequencies, sweep.magnitudes_db[None, :])
+            observed = decode._state_of(profile, classify_block(detection, profile)[0][0])
             expected = frozenset({label}) if profile.kind == "scroll" else label
             if observed != expected:
                 misses.append((name, label, observed))

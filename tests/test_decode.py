@@ -18,21 +18,16 @@ from pitkit.decode import (
     RingProfile,
     _debounce,
     classify_block,
-    classify_state,
     decode_scroll,
     decode_stream,
     events_to_jsonl,
-    foreign_resonator,
+    foreign_block,
 )
 from pitkit.detect import Detection, DetectorConfig, PeakReport, detect_stream
 from pitkit.synth import DisturbanceModel, SweepConfig, scripted_session
 from pitkit.trace import Sweep
 
 GRID = 27e6 + 60e3 * np.arange(51)
-
-
-def peak(frequency, height=0.05, snr=20.0):
-    return PeakReport(frequency, height, snr, 0.002)
 
 
 def sweep_with_peak(frequency, timestamp=0.0, height=0.08):
@@ -53,37 +48,49 @@ def stream_for(profile, labels, rate=5.0):
     return sweeps
 
 
+def block_of(rows):
+    """A ``Detection`` of frames given as lists of (frequency, height)
+    peaks, all with residual sigma 0.002 dB."""
+    return detection_of([[(f, h, 0.002) for f, h in peaks] for peaks in rows])
+
+
+def classify(rows, profile):
+    """The state each frame's peaks classify to through ``classify_block``."""
+    return [decode._state_of(profile, c) for c in classify_block(block_of(rows), profile)[0]]
+
+
 class TestClassifyState:
     def test_press_profile_bands(self):
         press = PROFILE_PRESETS["press"]
-        assert classify_state([peak(28.9e6)], press) == "on"
-        assert classify_state([peak(28.02e6)], press) == "off"
+        assert classify([[(28.9e6, 0.05)], [(28.02e6, 0.05)]], press) == ["on", "off"]
 
     def test_tolerance_boundary(self):
-        press = PROFILE_PRESETS["press"]
-        assert classify_state([peak(28.9e6 + 45e3)], press) == "on"
-        assert classify_state([peak(28.9e6 + 46e3)], press) is None
+        rows = [[(28.0e6 + 45e3, 0.05)], [(28.0e6 + 46e3, 0.05)]]
+        codes, _ = classify_block(block_of(rows), PROFILE_PRESETS["press"])
+        assert codes.tolist() == [1, 0]
 
-    def test_no_peaks_is_none(self):
-        assert classify_state([], PROFILE_PRESETS["press"]) is None
+    def test_no_in_band_peak_is_idle(self):
+        rows = [[], [(29.8e6, 0.05)], [(28.9e6, 0.05)]]
+        codes, top = classify_block(block_of(rows), PROFILE_PRESETS["press"])
+        assert codes.tolist() == [0, 0, 0]
+        assert top.tolist() == [0.0, 0.05 / 0.002, 0.05 / 0.002]
 
     def test_strongest_peak_wins(self):
         slide = PROFILE_PRESETS["slide"]
-        peaks = [peak(28.4e6, height=0.03), peak(28.1e6, height=0.09)]
-        assert classify_state(peaks, slide) == "left-4mm"
+        assert classify([[(28.4e6, 0.03), (28.1e6, 0.09)]], slide) == ["left-4mm"]
 
     def test_scroll_returns_active_set(self):
         scroll = PROFILE_PRESETS["scroll"]
-        assert classify_state([], scroll) == frozenset()
-        assert classify_state([peak(29.3e6)], scroll) == frozenset({"reed-a"})
-        both = [peak(29.3e6), peak(28.9e6)]
-        assert classify_state(both, scroll) == frozenset({"reed-a", "reed-b"})
+        rows = [[], [(29.3e6, 0.05)], [(29.3e6, 0.05), (28.9e6, 0.05)]]
+        assert classify(rows, scroll) == [
+            frozenset(), frozenset({"reed-a"}), frozenset({"reed-a", "reed-b"})
+        ]
 
     def test_foreign_resonator_flag(self):
         press = PROFILE_PRESETS["press"]
-        assert foreign_resonator([peak(29.8e6)], press)
-        assert not foreign_resonator([peak(28.9e6)], press)
-        assert not foreign_resonator([], press)
+        rows = [[(29.8e6, 0.05)], [(28.9e6, 0.05)], [], [(28.9e6 + 45e3, 0.05)],
+                [(28.9e6 + 46e3, 0.05)]]
+        assert foreign_block(block_of(rows), press).tolist() == [True, False, False, False, True]
 
 
 class TestRingProfile:
@@ -340,7 +347,6 @@ def detection_of(rows):
         residuals=np.empty((len(rows), 0)),
         sigma=np.array(sigmas, dtype=float),
         row=np.array([e[0] for e in table], dtype=np.intp),
-        bin=np.zeros(len(table), dtype=np.intp),
         frequency=np.array([e[3] for e in table], dtype=float),
         height=np.array([e[4] for e in table], dtype=float),
         snr=np.array([e[4] / e[5] for e in table], dtype=float),
@@ -426,21 +432,16 @@ class TestOneDebouncer:
     def test_block_classifier_equals_per_frame_rule(self, data, name):
         """Each frame's code names the state the per-frame rule gives, with
         no in-band peak read as idle, and its top SNR is the frame's
-        highest peak SNR, 0.0 without peaks.  ``classify_state`` gives the
-        per-frame rule's answer on the peaks in any order."""
+        highest peak SNR, 0.0 without peaks."""
         profile = PROFILE_PRESETS[name]
         rows = data.draw(frame_peaks(profile))
         detection = detection_of(rows)
         codes, top = classify_block(detection, profile)
         idle = frozenset() if profile.kind == "scroll" else profile.idle_label
-        for code, snr, peaks, given_order in zip(
-            codes.tolist(), top.tolist(), detection.reports(), rows
-        ):
+        for code, snr, peaks in zip(codes.tolist(), top.tolist(), detection.reports()):
             want = reference_classify_state(peaks, profile)
             assert decode._state_of(profile, code) == (idle if want is None else want)
             assert snr == max((p.snr for p in peaks), default=0.0)
-            unsorted = [PeakReport(f, h, h / sigma, sigma) for f, h, sigma in given_order]
-            assert classify_state(unsorted, profile) == reference_classify_state(unsorted, profile)
 
     @pytest.mark.parametrize("name", sorted(PROFILE_PRESETS))
     def test_matches_reference_on_synthesized_sessions(self, name):

@@ -432,7 +432,7 @@ class TestPeakTable:
         assert detection.row.tolist() == [0, 0, 2, 2]
         assert detection.height[0] > detection.height[1]
         assert np.array_equal(detection.snr, detection.height / detection.sigma[detection.row])
-        for name in ("residuals", "sigma", "row", "bin", "frequency", "height", "snr"):
+        for name in ("residuals", "sigma", "row", "frequency", "height", "snr"):
             assert not getattr(detection, name).flags.writeable
         assert detection.reports()[1] == []
         assert isinstance(detection.reports()[0][0], PeakReport)

@@ -9,8 +9,8 @@ import pytest
 
 from pitkit import defaults, experiments
 from pitkit.circuit import CoupledPair
-from pitkit.decode import PRESS_PROFILE, foreign_resonator
-from pitkit.detect import compute_snr, detect_block, detect_peaks
+from pitkit.decode import PRESS_PROFILE, foreign_block
+from pitkit.detect import compute_snr, detect_block
 from pitkit.experiments import (
     METAL_PRESETS,
     SNR_STUDIES,
@@ -292,9 +292,11 @@ class TestSnrVsMetal:
             for trial in range(trials):
                 cfg = SweepConfig(seed=seed + trial)
                 for i in range(n_frames):
-                    peaks = detect_peaks(synthesize_sweep(cfg, pair, bridge, disturb, t=i / 5.0))
+                    sweep = synthesize_sweep(cfg, pair, bridge, disturb, t=i / 5.0)
+                    detection = detect_block(sweep.frequencies, sweep.magnitudes_db[None, :])
+                    peaks = detection.reports()[0]
                     detections += any(abs(p.peak_frequency - peak_f) <= 2 * cfg.step for p in peaks)
-                    foreign += bool(foreign_resonator(peaks, PRESS_PROFILE))
+                    foreign += bool(foreign_block(detection, PRESS_PROFILE)[0])
             assert detection_rate == detections / (trials * n_frames)
             assert foreign_rate == foreign / (trials * n_frames)
 

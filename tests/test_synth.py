@@ -4,6 +4,7 @@ baseline, peak placement, disturbances, sessions and serialization."""
 import ast
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -130,8 +131,9 @@ class TestStaticBaseline:
     def test_static_offset_grows_with_mismatch(self):
         cfg = SweepConfig()
         pair = default_pair(coupling=0.0)
-        small = synthesize_sweep(cfg, pair, defaults.bridge_config(0.05), QUIET)
-        large = synthesize_sweep(cfg, pair, defaults.bridge_config(0.15), QUIET)
+        bridge = defaults.bridge_config()
+        small = synthesize_sweep(cfg, pair, replace(bridge, mismatch_fraction=0.05), QUIET)
+        large = synthesize_sweep(cfg, pair, replace(bridge, mismatch_fraction=0.15), QUIET)
         assert large.magnitudes_db.mean() > small.magnitudes_db.mean()
 
 
