@@ -99,12 +99,16 @@ class DisturbanceModel:
     nearby_resonator_shift: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
-        if self.amplitude_drift < 0:
-            raise ValueError("amplitude_drift must be >= 0")
-        if self.frequency_drift < 0:
-            raise ValueError("frequency_drift must be >= 0")
+        # NaN fails every comparison, so ``< 0`` alone would let it pass
+        # and silently switch the term off.
+        for name in ("noise_sigma", "amplitude_drift", "frequency_drift"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0")
+        if not math.isfinite(self.nearby_resonator_shift):
+            raise ValueError("nearby_resonator_shift must be finite")
+        if self.metal_baseline is not None and not all(map(math.isfinite, self.metal_baseline)):
+            raise ValueError("metal_baseline entries must be finite")
 
 
 def coupling_from_geometry(scene: GeometryScenario) -> float:
@@ -412,7 +416,8 @@ def scripted_session(
     ``events`` is a list of (time_s, state_label); the ring idles in the
     profile's first state until the first event.  ``scene_timeline`` is
     either one geometry or a list of (time_s, GeometryScenario).  The
-    whole train is one ``synthesize_block`` call.
+    whole train is one ``synthesize_block`` call; a ``duration`` that is
+    not finite or gives no frame is a ``ValueError``.
     """
     events = sorted(events, key=lambda e: e[0])
     for _, label in events:
@@ -422,7 +427,13 @@ def scripted_session(
         scene_timeline = [(0.0, scene_timeline)]
     scene_timeline = sorted(scene_timeline, key=lambda e: e[0])
 
-    frame_count = int(round(duration * cfg.acquisition_rate))
+    frames = duration * cfg.acquisition_rate
+    frame_count = round(frames) if math.isfinite(frames) else 0
+    if frame_count <= 0:
+        raise ValueError(
+            f"duration must be finite and give at least one frame at "
+            f"{cfg.acquisition_rate:g} frames/s, got {duration!r} s"
+        )
     times = [i / cfg.acquisition_rate for i in range(frame_count)]
     pairs = []
     pair_of: dict = {}

@@ -175,8 +175,29 @@ class TestSynthDetect:
         code, _, err = run(capsys, "synth", "--output", str(tmp_path / "x.csv"))
         assert code == 1 and "error" in err
 
+    def test_synth_rejects_non_finite_noise_sigma(self, capsys, tmp_path):
+        """A NaN noise sigma would fail ``> 0`` and write a noiseless sweep."""
+        out_path = tmp_path / "a.csv"
+        code, _, err = run(capsys, "synth", "--output", str(out_path), "--noise-sigma", "nan")
+        assert code == 1
+        assert err.startswith("error: noise_sigma must be finite")
+        assert not out_path.exists()
+
 
 class TestSynthDecode:
+    @pytest.mark.parametrize("duration", ["-1", "0", "nan", "inf"])
+    def test_synth_rejects_duration_without_frames(self, capsys, tmp_path, duration):
+        events_path = tmp_path / "events.json"
+        events_path.write_text(json.dumps([[1.0, "off"]]))
+        session_path = tmp_path / "session.json"
+        code, _, err = run(
+            capsys, "synth", "--output", str(session_path),
+            "--events", str(events_path), "--duration", duration,
+        )
+        assert code == 1
+        assert err.startswith("error: duration must be finite and give at least one frame")
+        assert not session_path.exists()
+
     def test_session_chain(self, capsys, tmp_path):
         events_path = tmp_path / "events.json"
         events_path.write_text(json.dumps([[2.0, "off"], [4.0, "on"]]))

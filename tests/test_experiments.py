@@ -3,6 +3,8 @@ experiment runner.  The heavier end-to-end accuracy studies live in the
 acceptance suite."""
 
 import json
+import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ import pytest
 from pitkit import defaults, experiments
 from pitkit.circuit import CoupledPair
 from pitkit.decode import PRESS_PROFILE, foreign_block
-from pitkit.detect import compute_snr, detect_block
+from pitkit.detect import DetectorConfig, compute_snr, detect_block
 from pitkit.experiments import (
     METAL_PRESETS,
     SNR_STUDIES,
@@ -26,6 +28,7 @@ from pitkit.synth import (
     GeometryScenario,
     SweepConfig,
     coupling_from_geometry,
+    synthesize_block,
     synthesize_sweep,
 )
 
@@ -124,12 +127,10 @@ class TestCalibrateCoupling:
         assert k_hi > k_lo
 
     def test_each_coupling_synthesized_once(self, monkeypatch):
-        """Both bisections start from the same bracket; their shared steps
-        are synthesized and detected once per call.  Each noise-free block
-        holds the next two levels of the bisection tree (the first also
-        the upper bound), and the first bisection's result, whose peak
-        bin sets the noisy window, is a one-row block: at seed 0, 110
-        couplings in 37 blocks, where the walk alone visits 74."""
+        """Both searches share one memo, so no coupling is synthesized
+        twice.  At seed 0 the whole call takes at most 16 noise-free
+        blocks (15 of 46 couplings today), where evaluating the 40-step
+        bisection two levels of its tree per block took 37 of 110."""
         couplings = []
         blocks = []
         original = experiments.synthesize_block
@@ -145,8 +146,74 @@ class TestCalibrateCoupling:
         calibrate_coupling(
             16.0, sensor, defaults.reader_coil(), defaults.bridge_config(), SweepConfig(seed=0)
         )
-        assert len(couplings) == len(set(couplings)) == 110
-        assert len(blocks) == 37
+        assert len(couplings) == len(set(couplings))
+        assert len(blocks) <= 16
+
+    @pytest.mark.parametrize("turns", [5, 7, 8])
+    @pytest.mark.parametrize("step", [60e3, 30e3])
+    @pytest.mark.parametrize("target", [10.0, 14.0, 20.0])
+    def test_equals_the_unmemoised_walk(self, turns, step, target):
+        """Bit-identical to two 40-step bisections that evaluate every
+        midpoint, on 51- and 101-point grids."""
+        args = (target, defaults.ring_coil(28.0e6, turns), defaults.reader_coil(),
+                defaults.bridge_config(), SweepConfig(step=step, seed=3))
+        assert calibrate_coupling(*args).hex() == reference_calibration(*args).hex()
+
+    def test_non_monotone_height_falls_back_to_the_walk(self, monkeypatch):
+        """Couplings whose last mantissa bit is set show half their
+        noise-free height, so near the crossing a lower k clears the
+        target where a higher one falls short.  Once the evaluated heights
+        show that, the walk evaluates every midpoint it visits, as the
+        unmemoised walk does, and returns its k."""
+        quiet_couplings = []
+
+        def synth(cfg, pairs, bridge, disturb, timestamps):
+            if disturb.noise_sigma == 0.0:
+                quiet_couplings.append([pair.coupling for pair in pairs])
+            return synthesize_block(cfg, pairs, bridge, disturb, timestamps)
+
+        def odd_halved(frequencies, magnitudes, cfg):
+            odd = [int(math.ldexp(math.frexp(k)[0], 53)) & 1 for k in quiet_couplings[-1]]
+            residuals = detect_block(frequencies, magnitudes, cfg).residuals
+            return SimpleNamespace(residuals=residuals * np.where(odd, 0.5, 1.0)[:, None])
+
+        monkeypatch.setattr(experiments, "synthesize_block", synth)
+        monkeypatch.setattr(experiments, "detect_block", odd_halved)
+        for seed, target in [(0, 16.0), (1, 10.0), (2, 20.0)]:
+            args = (target, defaults.ring_coil(28.0e6, 7), defaults.reader_coil(),
+                    defaults.bridge_config(), SweepConfig(seed=seed))
+            quiet_couplings.clear()
+            expected = reference_calibration(*args)
+            visited = {k for (k,) in quiet_couplings}
+            quiet_couplings.clear()
+            assert calibrate_coupling(*args).hex() == expected.hex()
+            assert visited <= {k for block in quiet_couplings for k in block}
+
+    @pytest.mark.parametrize("target", [math.nan, math.inf, 0.0, -5.0])
+    def test_rejects_bad_target(self, target):
+        sensor = defaults.ring_coil(28.0e6, 7)
+        with pytest.raises(ValueError, match="target_snr must be finite and > 0"):
+            calibrate_coupling(
+                target, sensor, defaults.reader_coil(), defaults.bridge_config(), SweepConfig()
+            )
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, 0.0, -0.002])
+    def test_rejects_bad_noise_sigma(self, sigma):
+        sensor = defaults.ring_coil(28.0e6, 7)
+        with pytest.raises(ValueError, match="noise_sigma must be finite and > 0"):
+            calibrate_coupling(
+                16.0, sensor, defaults.reader_coil(), defaults.bridge_config(), SweepConfig(),
+                noise_sigma=sigma,
+            )
+
+    def test_target_met_at_the_lower_bound_raises(self):
+        """At k = 1e-6 the noise-free height is about 5e-8 dB, so SNR 1e-6
+        (2e-9 dB) is met before the search starts."""
+        sensor = defaults.ring_coil(28.0e6, 7)
+        with pytest.raises(ValueError, match="unreachable.*already met at the lower bound"):
+            calibrate_coupling(
+                1e-6, sensor, defaults.reader_coil(), defaults.bridge_config(), SweepConfig()
+            )
 
     @pytest.mark.parametrize(
         "target, seed, k_hex",
@@ -180,6 +247,48 @@ class TestCalibrateCoupling:
             calibrate_coupling(
                 1e6, sensor, defaults.reader_coil(), defaults.bridge_config(), cfg
             )
+
+
+def reference_calibration(target_snr, sensor, reader, bridge, cfg,
+                          noise_sigma=defaults.NOISE_SIGMA_DB):
+    """The unmemoised calibration: a 40-step geometric bisection of
+    (1e-6, 0.05) that synthesizes and detects each midpoint as a one-row
+    block, then a second one with the target raised by the noisy-fit
+    deficit at the first result.  Noise-free rows go through
+    ``experiments.synthesize_block`` and ``experiments.detect_block``, so
+    a monkeypatch of either reaches them too."""
+    det = DetectorConfig()
+
+    def residual(k):
+        block = experiments.synthesize_block(
+            cfg, [CoupledPair(reader, sensor, k)], bridge, DisturbanceModel(noise_sigma=0.0), [0.0]
+        )
+        return experiments.detect_block(block.frequencies, block.magnitudes_db, det).residuals[0]
+
+    def bisect(target):
+        lo, hi = 1e-6, 0.05
+        for _ in range(40):
+            mid = math.sqrt(lo * hi)
+            if residual(mid).max() < target:
+                lo = mid
+            else:
+                hi = mid
+        return math.sqrt(lo * hi)
+
+    target = target_snr * noise_sigma
+    k0 = bisect(target)
+    peak_bin = int(np.argmax(residual(k0)))
+    frames = 240
+    noisy = synthesize_block(
+        cfg, [CoupledPair(reader, sensor, k0)] * frames, bridge,
+        DisturbanceModel(noise_sigma=noise_sigma),
+        [i / cfg.acquisition_rate for i in range(frames)],
+    )
+    window = detect_block(noisy.frequencies, noisy.magnitudes_db, det).residuals[
+        :, max(peak_bin - 1, 0):peak_bin + 2
+    ]
+    deficit = max(target - float(np.mean(window.max(axis=1))), 0.0)
+    return k0 if deficit == 0.0 else bisect(target + deficit)
 
 
 STOCK_NOISE = DisturbanceModel(noise_sigma=defaults.NOISE_SIGMA_DB)

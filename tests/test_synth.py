@@ -224,6 +224,26 @@ class TestDeterminismAndNoise:
             positions.add(round(detect_peaks(sweep)[0].peak_frequency, -3))
         assert len(positions) > 1
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("noise_sigma", math.nan, "noise_sigma must be finite"),
+            ("noise_sigma", math.inf, "noise_sigma must be finite"),
+            ("noise_sigma", -0.001, "noise_sigma must be finite and >= 0"),
+            ("amplitude_drift", math.nan, "amplitude_drift must be finite"),
+            ("frequency_drift", math.inf, "frequency_drift must be finite"),
+            ("nearby_resonator_shift", math.nan, "nearby_resonator_shift must be finite"),
+            ("nearby_resonator_shift", -math.inf, "nearby_resonator_shift must be finite"),
+            ("metal_baseline", (0.5, math.nan, 0.8), "metal_baseline entries must be finite"),
+            ("metal_baseline", (math.inf,), "metal_baseline entries must be finite"),
+        ],
+    )
+    def test_rejects_non_finite_disturbance(self, field, value, message):
+        """NaN fails every comparison, so each field is checked for
+        finiteness, not only for sign."""
+        with pytest.raises(ValueError, match=message):
+            DisturbanceModel(**{field: value})
+
 
 def numpy_state(seed, key):
     """NumPy's own PCG64 (state, inc) of a noise stream."""
@@ -385,6 +405,15 @@ class TestScriptedSession:
     def test_unknown_label_raises(self):
         with pytest.raises(ValueError, match="unknown state"):
             self.session([(1.0, "no-such-state")], duration=2.0)
+
+    @pytest.mark.parametrize("duration", [0.0, -1.0, 0.09, math.nan, math.inf, -math.inf])
+    def test_duration_without_frames_raises(self, duration):
+        """At 5 frames/s, 0.09 s rounds to no frame; a session needs one."""
+        with pytest.raises(ValueError, match="duration must be finite and give at least one frame"):
+            self.session([], duration=duration)
+
+    def test_one_frame_session(self):
+        assert len(self.session([], duration=0.2)) == 1
 
     def test_scene_timeline_changes_coupling(self):
         near = GeometryScenario(distance=0.10)
