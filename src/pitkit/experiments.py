@@ -24,9 +24,11 @@ from .synth import (
     GeometryScenario,
     SweepConfig,
     coupling_from_geometry,
+    noise_rows,
     scripted_session,
     synthesize_block,
 )
+from .trace import SweepBlock
 
 SNR_TRACE_COUNT = 100
 
@@ -83,17 +85,41 @@ def measure_snr(
     bridge: BridgeConfig,
     cfg: SweepConfig,
     disturb: DisturbanceModel,
+    noise: tuple[np.ndarray, np.ndarray],
 ) -> float:
     """Empirical SNR from ``SNR_TRACE_COUNT`` with-sensor and
-    without-sensor sweeps, one block each, evaluated at the noise-free
-    peak location."""
+    without-sensor sweeps, evaluated at the noise-free peak location.
+
+    ``noise`` is ``snr_noise(cfg)``: the standard-normal rows of the
+    with-sensor sweeps (timestamps ``0 .. n-1`` frames) and of the
+    without-sensor sweeps (``n .. 2n-1``).  Each set is one noise-free
+    block plus ``disturb.noise_sigma`` times its rows, bit for bit what
+    ``synthesize_block`` with ``disturb`` gives; the rows depend only on
+    the seed and grid of ``cfg``, so the points of a study share them."""
     at_frequency, _ = noiseless_peak(pair, bridge, cfg, disturb)
     n = SNR_TRACE_COUNT
     times = [i / cfg.acquisition_rate for i in range(2 * n)]
+    quiet = replace(disturb, noise_sigma=0.0)
+
+    def traces(set_pair: CoupledPair, set_times: list, rows: np.ndarray) -> SweepBlock:
+        block = synthesize_block(cfg, [set_pair] * n, bridge, quiet, set_times)
+        magnitudes = disturb.noise_sigma * rows
+        magnitudes += block.magnitudes_db
+        return SweepBlock(block.frequencies, magnitudes, set_times)
+
     pair_off = CoupledPair(pair.reader, pair.sensor, 0.0)
-    traces_with = synthesize_block(cfg, [pair] * n, bridge, disturb, times[:n])
-    traces_without = synthesize_block(cfg, [pair_off] * n, bridge, disturb, times[n:])
-    return compute_snr(traces_with, traces_without, at_frequency)
+    return compute_snr(
+        traces(pair, times[:n], noise[0]), traces(pair_off, times[n:], noise[1]), at_frequency
+    )
+
+
+def snr_noise(cfg: SweepConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The standard-normal rows of ``measure_snr``'s with-sensor and
+    without-sensor sweeps on the grid and seed of ``cfg``."""
+    n = SNR_TRACE_COUNT
+    times = [i / cfg.acquisition_rate for i in range(2 * n)]
+    points = cfg.point_count
+    return noise_rows(cfg.seed, times[:n], points), noise_rows(cfg.seed, times[n:], points)
 
 
 # Coupling range of the calibration and the steps of the geometric
@@ -345,16 +371,25 @@ class SnrStudy:
 def run_snr_study(study: SnrStudy, trials: int, seed: int):
     """(header, rows, summary) of one SNR study: each point measured by
     ``measure_snr`` once per trial, on the point's grid at seed
-    ``seed + trial``."""
+    ``seed + trial``.
+
+    Trials run outermost.  Within a trial every point on one grid is
+    measured on the same noise rows (common random numbers), drawn once
+    by ``snr_noise``; only one trial's rows are alive at a time."""
     reader = defaults.reader_coil()
     bridge = defaults.bridge_config()
+    points = list(study.points(reader))
+    snrs = np.empty((len(points), trials))
+    for trial in range(trials):
+        noise_of: dict = {}
+        for i, (_, pair, grid, disturb) in enumerate(points):
+            cfg = replace(grid, seed=seed + trial)
+            if cfg not in noise_of:
+                noise_of[cfg] = snr_noise(cfg)
+            snrs[i, trial] = measure_snr(pair, bridge, cfg, disturb, noise_of[cfg])
     rows = []
-    for key, pair, grid, disturb in study.points(reader):
-        snrs = np.asarray([
-            measure_snr(pair, bridge, replace(grid, seed=seed + trial), disturb)
-            for trial in range(trials)
-        ])
-        row = [*key, float(snrs.mean()), float(snrs.std())]
+    for (key, pair, grid, disturb), point_snrs in zip(points, snrs):
+        row = [*key, float(point_snrs.mean()), float(point_snrs.std())]
         if study.extra is not None:
             row += study.extra(pair, bridge, grid, disturb, trials, seed)
         rows.append(row)

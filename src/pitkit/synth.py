@@ -52,13 +52,17 @@ class SweepConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # NaN fails every comparison below and inf overflows round(span)
+        for name in ("start_frequency", "stop_frequency", "step", "acquisition_rate"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.start_frequency >= self.stop_frequency:
             raise ValueError("start_frequency must be < stop_frequency")
         if self.step <= 0:
             raise ValueError("step must be > 0")
         span = (self.stop_frequency - self.start_frequency) / self.step
-        if abs(span - round(span)) > 1e-9 * max(1.0, span):
-            raise ValueError("(stop - start) / step must be integral")
+        if not math.isfinite(span) or abs(span - round(span)) > 1e-9 * max(1.0, span):
+            raise ValueError("(stop - start) / step must be finite and integral")
         if self.acquisition_rate <= 0:
             raise ValueError("acquisition_rate must be > 0")
 
@@ -354,17 +358,25 @@ def synthesize_block(
         magnitudes += np.polynomial.polynomial.polyval(x, coeffs.T)
 
     if disturb.noise_sigma > 0.0 and times:
-        _add_noise(magnitudes, cfg.seed & _MASK32, times, disturb.noise_sigma)
+        noise = noise_rows(cfg.seed, times, len(f))
+        noise *= disturb.noise_sigma
+        magnitudes += noise
     return SweepBlock(f, magnitudes, times)
 
 
-def _add_noise(out: np.ndarray, seed: int, times: list[float], sigma: float) -> None:
-    """Add to each row of ``out`` the Gaussian noise of its own stream,
-    ``SeedSequence([seed, key])`` -> ``PCG64`` with the row's timestamp
-    key.  The streams of all rows are seeded at once by
+def noise_rows(seed: int, times: Sequence[float], n: int) -> np.ndarray:
+    """``(len(times), n)`` standard-normal rows, row i drawn from its own
+    stream ``SeedSequence([seed & 0xFFFFFFFF, key])`` -> ``PCG64`` with
+    the key of ``times[i]``.  A noisy block adds ``noise_sigma`` times
+    these rows, which is bit for bit what ``Generator.normal(0.0, sigma)``
+    would add.  The streams of all rows are seeded at once by
     ``_pcg64_states``, checked against NumPy's seeding of row 0, which
     then draws from the generator NumPy seeded."""
+    seed &= _MASK32
     keys = [_noise_key(t) for t in times]
+    rows = np.empty((len(keys), n))
+    if not keys:
+        return rows
     states = _pcg64_states(seed, keys)
     bits = np.random.PCG64(np.random.SeedSequence([seed, keys[0]]))
     first = bits.state["state"]
@@ -374,15 +386,16 @@ def _add_noise(out: np.ndarray, seed: int, times: list[float], sigma: float) -> 
             f"(numpy {np.__version__})"
         )
     gen = np.random.Generator(bits)
-    out[0] += gen.normal(0.0, sigma, size=out.shape[1])
-    for row, (state, inc) in zip(out[1:], states[1:]):
+    gen.standard_normal(out=rows[0])
+    for row, (state, inc) in zip(rows[1:], states[1:]):
         bits.state = {
             "bit_generator": "PCG64",
             "state": {"state": state, "inc": inc},
             "has_uint32": 0,
             "uinteger": 0,
         }
-        row += gen.normal(0.0, sigma, size=len(row))
+        gen.standard_normal(out=row)
+    return rows
 
 
 def synthesize_sweep(
@@ -556,6 +569,22 @@ def session_from_json(path) -> SweepBlock:
         raise DataFormatError(f"{path}: {exc}") from None
 
 
+# Names of the array kinds NumPy builds from JSON values that are not
+# numbers; ``np.asarray(..., dtype=float)`` would convert "0.01" and true.
+_NOT_NUMBERS = {"U": "strings", "b": "booleans"}
+
+
+def _numbers(value) -> np.ndarray:
+    """A JSON number or (nested) list of numbers as a float array; a
+    string, boolean, null or other value is a ``ValueError``, told by the
+    kind of the array NumPy builds from it."""
+    a = np.asarray(value)
+    if a.dtype.kind not in "iuf":
+        found = _NOT_NUMBERS.get(a.dtype.kind, "values that are not numbers")
+        raise ValueError(f"must hold only numbers, found {found}")
+    return a.astype(float, copy=False)
+
+
 def _columns(path, doc: dict) -> tuple:
     """Grid (N,), timestamps (T,) and magnitudes (T, N) of a columnar
     session object."""
@@ -564,7 +593,7 @@ def _columns(path, doc: dict) -> tuple:
         if key not in doc:
             raise DataFormatError(f"{path}: columnar session has no {key!r}")
         try:
-            arrays.append(np.asarray(doc[key], dtype=float))
+            arrays.append(_numbers(doc[key]))
         except (TypeError, ValueError) as exc:
             raise DataFormatError(f"{path}: {key}: {exc}") from None
     f, t, m = arrays
@@ -590,7 +619,7 @@ def _records(path, records: list) -> tuple:
         if not isinstance(rec, dict) or "timestamp_s" not in rec:
             raise DataFormatError(f"{path}: record {i}: missing 'timestamp_s'")
         try:
-            times.append(float(rec["timestamp_s"]))
+            times.append(float(_numbers(rec["timestamp_s"])))
         except (TypeError, ValueError) as exc:
             raise DataFormatError(f"{path}: record {i}: timestamp_s: {exc}") from None
         if "sweep_file" in rec:
@@ -599,10 +628,7 @@ def _records(path, records: list) -> tuple:
             sweep = sweep_from_csv(os.path.join(os.path.dirname(os.fspath(path)), rec["sweep_file"]))
         elif "frequencies_hz" in rec and "magnitudes_db" in rec:
             try:
-                sweep = Sweep(
-                    np.asarray(rec["frequencies_hz"], float),
-                    np.asarray(rec["magnitudes_db"], float),
-                )
+                sweep = Sweep(_numbers(rec["frequencies_hz"]), _numbers(rec["magnitudes_db"]))
             except (TypeError, ValueError) as exc:
                 raise DataFormatError(f"{path}: record {i}: {exc}") from None
         else:

@@ -2,6 +2,7 @@
 ``main`` so exit codes and output files are checked directly."""
 
 import json
+import math
 import re
 
 import pytest
@@ -157,6 +158,24 @@ class TestSynthDetect:
         with pytest.raises(DataFormatError):
             _sweep_config(0)
 
+    @pytest.mark.parametrize("key, field, value", [
+        ("start_frequency_hz", "start_frequency", -math.inf),
+        ("stop_frequency_hz", "stop_frequency", math.inf),
+        ("step_hz", "step", math.nan),
+        ("acquisition_rate_fps", "acquisition_rate", math.nan),
+    ])
+    def test_config_env_non_finite_value(self, capsys, tmp_path, monkeypatch, key, field, value):
+        """Infinity overflowed ``round(span)`` into a bare traceback and a
+        NaN rate passed ``<= 0``; each is now an error naming the field."""
+        cfg_path = tmp_path / "grid.json"
+        cfg_path.write_text(json.dumps({key: value}))
+        monkeypatch.setenv("PITKIT_CONFIG", str(cfg_path))
+        out_path = tmp_path / "x.csv"
+        code, _, err = run(capsys, "synth", "--output", str(out_path))
+        assert code == 1
+        assert err.startswith("error: ") and f"{field} must be finite" in err
+        assert not out_path.exists()
+
     def test_detect_infinite_magnitude(self, capsys, tmp_path):
         sweep_path = tmp_path / "sweep.csv"
         assert run(capsys, "synth", "--output", str(sweep_path))[0] == 0
@@ -308,6 +327,21 @@ class TestSynthDecode:
         )
         assert code == 1
         assert out == "" and "timestamp_s" in err
+
+    @pytest.mark.parametrize("key", ["frequencies_hz", "timestamps_s", "magnitudes_db"])
+    def test_decode_rejects_string_column(self, capsys, tmp_path, key):
+        """A column of JSON strings such as "0.01" decoded with exit 0."""
+        session_path, doc = press_session_file(capsys, tmp_path)
+        column = doc[key]
+        doc[key] = [[repr(v) for v in row] for row in column] if key == "magnitudes_db" else [
+            repr(v) for v in column
+        ]
+        session_path.write_text(json.dumps(doc))
+        code, out, err = run(
+            capsys, "decode", "--session", str(session_path), "--profile", "press"
+        )
+        assert code == 1
+        assert out == "" and f"{key}: must hold only numbers, found strings" in err
 
     def test_decode_rejects_reversed_legacy_session(self, capsys, tmp_path):
         session_path, doc = press_session_file(capsys, tmp_path)

@@ -22,6 +22,7 @@ from pitkit.experiments import (
     noiseless_peak,
     run_experiment,
     run_snr_study,
+    snr_noise,
 )
 from pitkit.synth import (
     DisturbanceModel,
@@ -58,11 +59,13 @@ class TestMeasureSnr:
     def test_reference_scenario_snr(self):
         """The 8-turn ring at the reference coupling lands near SNR 19
         with the stock noise floor."""
+        cfg = SweepConfig(seed=0)
         snr = measure_snr(
             default_pair(),
             defaults.bridge_config(),
-            SweepConfig(seed=0),
+            cfg,
             DisturbanceModel(noise_sigma=defaults.NOISE_SIGMA_DB),
+            snr_noise(cfg),
         )
         assert 12.0 <= snr <= 28.0
 
@@ -83,13 +86,15 @@ class TestMeasureSnr:
         with_sensor = [synthesize_sweep(cfg, pair, bridge, disturb, t) for t in times[:100]]
         without = [synthesize_sweep(cfg, off, bridge, disturb, t) for t in times[100:]]
         expected = compute_snr(with_sensor, without, at_frequency)
-        assert measure_snr(pair, bridge, cfg, disturb) == expected
+        assert measure_snr(pair, bridge, cfg, disturb, snr_noise(cfg)) == expected
 
     def test_snr_increases_with_coupling(self):
         bridge = defaults.bridge_config()
         disturb = DisturbanceModel(noise_sigma=defaults.NOISE_SIGMA_DB)
-        weak = measure_snr(default_pair(4e-4), bridge, SweepConfig(seed=1), disturb)
-        strong = measure_snr(default_pair(1.2e-3), bridge, SweepConfig(seed=1), disturb)
+        cfg = SweepConfig(seed=1)
+        noise = snr_noise(cfg)
+        weak = measure_snr(default_pair(4e-4), bridge, cfg, disturb, noise)
+        strong = measure_snr(default_pair(1.2e-3), bridge, cfg, disturb, noise)
         assert strong > weak
 
 
@@ -355,24 +360,42 @@ class TestSnrStudies:
         _, rows, _ = run_snr_study(SNR_STUDIES[name], trials, seed)
         bridge = defaults.bridge_config()
         for row, (key, (pair, grid, disturb)) in zip((rows[0], rows[-1]), STUDY_ENDS[name]):
-            snrs = [
-                measure_snr(pair, bridge, SweepConfig(*grid, seed=seed + trial), disturb)
-                for trial in range(trials)
-            ]
+            cfgs = [SweepConfig(*grid, seed=seed + trial) for trial in range(trials)]
+            snrs = [measure_snr(pair, bridge, cfg, disturb, snr_noise(cfg)) for cfg in cfgs]
             n_keys = len(key)
             assert tuple(row[:n_keys]) == key
             assert row[n_keys:n_keys + 2] == [np.mean(snrs), np.std(snrs)]
 
     def test_runner_calls_module_measure_snr(self, monkeypatch):
         """Tracing wraps ``experiments.measure_snr``; the runner must call
-        it through the module so every SNR point is seen."""
+        it through the module so every SNR point is seen.  Trials run
+        outermost."""
         calls = []
         monkeypatch.setattr(
             experiments, "measure_snr", lambda *args: calls.append(args) or 10.0
         )
         _, rows, _ = run_snr_study(SNR_STUDIES["snr-vs-angle"], trials=3, seed=0)
         assert len(calls) == 3 * len(rows)
-        assert [cfg.seed for _, _, cfg, _ in calls[:3]] == [0, 1, 2]
+        assert [cfg.seed for _, _, cfg, _, _ in calls] == [t for t in range(3) for _ in rows]
+
+    @pytest.mark.parametrize("name", ["snr-vs-turns", "snr-vs-frequency", "snr-vs-metal"])
+    def test_noise_drawn_once_per_trial_grid_and_set(self, monkeypatch, name):
+        """Every point of a trial shares its grid's noise rows: one draw
+        per (trial, grid, with/without set), not one per point."""
+        calls = []
+        original = experiments.noise_rows
+
+        def counted(seed, times, n):
+            calls.append((seed, times[0], len(times), n))
+            return original(seed, times, n)
+
+        monkeypatch.setattr(experiments, "noise_rows", counted)
+        run_snr_study(SNR_STUDIES[name], trials=3, seed=2)
+        n = experiments.SNR_TRACE_COUNT
+        points = experiments.WIDE_GRID.point_count if name == "snr-vs-frequency" else 51
+        assert calls == [
+            (seed, t0, n, points) for seed in (2, 3, 4) for t0 in (0.0, n / 5.0)
+        ]
 
 
 class TestSnrVsTurns:

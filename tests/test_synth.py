@@ -83,6 +83,16 @@ class TestSweepConfig:
         with pytest.raises(ValueError):
             SweepConfig(start_frequency=27e6, stop_frequency=30e6, step=70e3)
 
+    @pytest.mark.parametrize("field", ["start_frequency", "stop_frequency", "step", "acquisition_rate"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            SweepConfig(**{field: value})
+
+    def test_rejects_span_that_overflows(self):
+        with pytest.raises(ValueError, match="finite and integral"):
+            SweepConfig(start_frequency=-1e308, stop_frequency=1e308, step=1.0)
+
     def test_rejects_inverted_range(self):
         with pytest.raises(ValueError):
             SweepConfig(start_frequency=30e6, stop_frequency=27e6)
@@ -313,6 +323,27 @@ class TestNoiseSeeding:
         assert len(block) == 90
         assert kernel_calls == [90]
 
+    @pytest.mark.parametrize("amplitude_drift", [0.0, 0.01], ids=["steady", "drift"])
+    @pytest.mark.parametrize("step", [60e3, 7.5e3], ids=["51pt", "401pt"])
+    @pytest.mark.parametrize(
+        "disturb",
+        [DisturbanceModel(), DisturbanceModel(noise_sigma=0.008, metal_baseline=(0.8, -0.6, 1.5))],
+        ids=["stock", "metal"],
+    )
+    def test_noisy_block_is_quiet_block_plus_scaled_rows(self, disturb, step, amplitude_drift):
+        """Noise is added last, as sigma times the standard-normal rows of
+        ``noise_rows``, bit for bit."""
+        disturb = replace(disturb, amplitude_drift=amplitude_drift)
+        cfg, bridge = SweepConfig(step=step, seed=9), defaults.bridge_config()
+        pairs = [default_pair()] * 60 + [default_pair(coupling=0.0)] * 40
+        times = [i / cfg.acquisition_rate for i in range(100)]
+        noisy = synthesize_block(cfg, pairs, bridge, disturb, times)
+        quiet = synthesize_block(cfg, pairs, bridge, replace(disturb, noise_sigma=0.0), times)
+        rows = synth.noise_rows(cfg.seed, times, cfg.point_count)
+        expected = quiet.magnitudes_db + disturb.noise_sigma * rows
+        assert expected.shape == (100, cfg.point_count)
+        assert np.array_equal(noisy.magnitudes_db, expected)
+
     def test_row_zero_mismatch_raises(self, monkeypatch):
         original = synth._pcg64_states
 
@@ -528,6 +559,36 @@ class TestSerialization:
         session_to_json(block, path)
         back = session_from_json(path)
         assert len(back) == 0 and np.array_equal(back.frequencies, block.frequencies)
+
+    @pytest.mark.parametrize("key", ["frequencies_hz", "timestamps_s", "magnitudes_db"])
+    @pytest.mark.parametrize("kind, convert", [
+        ("strings", lambda v: np.asarray(v).astype(str).tolist()),
+        ("booleans", lambda v: (np.asarray(v) != 0).tolist()),
+    ], ids=["strings", "booleans"])
+    def test_columnar_rejects_columns_that_are_not_numbers(self, tmp_path, key, kind, convert):
+        """NumPy converts "0.01" and true to floats; a column of them must
+        not decode as numbers."""
+        doc = {"frequencies_hz": [0.5, 1.0], "timestamps_s": [0.0, 0.2],
+               "magnitudes_db": [[0.01, 0.02], [0.03, 0.04]]}
+        doc[key] = convert(doc[key])
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataFormatError, match=f"{key}: must hold only numbers, found {kind}"):
+            session_from_json(path)
+
+    @pytest.mark.parametrize("record", [
+        {"timestamp_s": "0.2", "frequencies_hz": [1.0, 2.0], "magnitudes_db": [0.0, 0.0]},
+        {"timestamp_s": True, "frequencies_hz": [1.0, 2.0], "magnitudes_db": [0.0, 0.0]},
+        {"timestamp_s": [0.2], "frequencies_hz": [1.0, 2.0], "magnitudes_db": [0.0, 0.0]},
+        {"timestamp_s": 0.2, "frequencies_hz": ["1.0", "2.0"], "magnitudes_db": [0.0, 0.0]},
+        {"timestamp_s": 0.2, "frequencies_hz": [1.0, 2.0], "magnitudes_db": [None, 0.0]},
+    ], ids=["string-time", "bool-time", "list-time", "string-grid", "null-magnitude"])
+    def test_legacy_records_reject_values_that_are_not_numbers(self, tmp_path, record):
+        good = {"timestamp_s": 0.0, "frequencies_hz": [1.0, 2.0], "magnitudes_db": [0.0, 0.0]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps([good, record]))
+        with pytest.raises(DataFormatError, match="record 1: "):
+            session_from_json(path)
 
     def test_legacy_records_read_as_one_block(self, tmp_path):
         """Array-of-records files, with inline points or sweep_file CSVs,
