@@ -30,16 +30,13 @@ from .decode import (
 from .detect import (
     Detection,
     DetectorConfig,
-    PeakReport,
     compute_snr,
     detect_block,
-    detect_peaks,
     detect_stream,
 )
 from .synth import (
     DisturbanceModel,
     GeometryScenario,
-    Sweep,
     SweepConfig,
     coupling_from_geometry,
     scripted_session,

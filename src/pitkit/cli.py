@@ -16,7 +16,7 @@ from . import defaults
 from .circuit import CoupledPair
 from .dca import design_dca
 from .decode import PROFILE_PRESETS, DebounceConfig, RingProfile, decode_stream, events_to_jsonl
-from .detect import DetectorConfig, detect_peaks
+from .detect import DetectorConfig, detect_block
 from .experiments import EXPERIMENTS, ExperimentSpec, run_experiment
 from .synth import (
     DataFormatError,
@@ -185,8 +185,16 @@ def _cmd_detect(args) -> int:
     cfg = DetectorConfig(
         baseline_order=args.baseline_order, peak_threshold=args.threshold
     )
-    for peak in detect_peaks(sweep, cfg):
-        sys.stdout.write(peak.to_json() + "\n")
+    found = detect_block(sweep.frequencies, sweep.magnitudes_db, cfg)
+    (sigma,) = found.sigma.tolist()
+    for f, height, snr in zip(found.frequency.tolist(), found.height.tolist(), found.snr.tolist()):
+        peak = {
+            "peak_frequency_hz": f,
+            "peak_height_db": height,
+            "snr": snr,
+            "baseline_residual_sigma_db": sigma,
+        }
+        sys.stdout.write(json.dumps(peak) + "\n")
     return 0
 
 

@@ -80,16 +80,20 @@ def round_to_e12(value: float) -> float:
     return min(candidates, key=lambda c: abs(math.log(value / c)))
 
 
+def _check_positive(name: str, value: float) -> None:
+    # NaN fails every comparison, so finiteness is checked first
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+
+
 def segment_length_check(
     wire_length: float, segment_count: int, frequency: float
 ) -> SegmentCheck:
     """Check that each winding segment stays below lambda/20 at frequency."""
-    if wire_length <= 0:
-        raise ValueError("wire_length must be > 0")
+    _check_positive("wire_length", wire_length)
     if segment_count < 1:
         raise ValueError("segment_count must be >= 1")
-    if frequency <= 0:
-        raise ValueError("frequency must be > 0")
+    _check_positive("frequency", frequency)
     segment_length = wire_length / segment_count
     limit = SPEED_OF_LIGHT / frequency / WAVELENGTH_FRACTION
     return SegmentCheck(segment_length < limit, segment_length, limit)
@@ -108,10 +112,8 @@ def design_dca(
     standard capacitor and the resulting frequency error is reported;
     otherwise the design is exact and the error is ~0.
     """
-    if inductance <= 0:
-        raise ValueError("inductance must be > 0")
-    if target_frequency <= 0:
-        raise ValueError("target_frequency must be > 0")
+    _check_positive("inductance", inductance)
+    _check_positive("target_frequency", target_frequency)
     if segment_count < 1:
         raise ValueError("segment_count must be >= 1")
 

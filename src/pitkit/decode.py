@@ -26,6 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .detect import Detection, DetectorConfig, detect_stream
+from .trace import SweepBlock
 
 KINDS = ("press", "slide", "joystick", "scroll")
 
@@ -46,6 +47,16 @@ class ProfileState:
     frequency: float
 
 
+def _hz(record: dict, key: str) -> float:
+    """``record[key]`` as a float; a boolean, string or other value that
+    is not a JSON number is a ``ValueError``, since ``float`` would take
+    true as 1 Hz."""
+    value = record[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"malformed profile: {key} must be a number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class RingProfile:
     name: str
@@ -62,6 +73,9 @@ class RingProfile:
         object.__setattr__(self, "states", states)
         if not states:
             raise ValueError("a profile needs at least one state")
+        labels = [s.label for s in states]
+        if len(set(labels)) != len(labels):
+            raise ValueError(f"state labels must be distinct, got {labels}")
         if self.kind == "press" and len(states) != 2:
             raise ValueError("a press profile has exactly two states: idle, then pressed")
         if self.kind == "scroll" and sorted(s.label for s in states) != sorted(_CW_NEXT):
@@ -100,13 +114,12 @@ class RingProfile:
     def from_dict(cls, data: dict) -> "RingProfile":
         try:
             states = tuple(
-                ProfileState(s["label"], float(s["frequency_hz"]))
-                for s in data["states"]
+                ProfileState(s["label"], _hz(s, "frequency_hz")) for s in data["states"]
             )
             return cls(
                 name=data["name"],
                 kind=data["kind"],
-                tolerance=float(data["tolerance_hz"]),
+                tolerance=_hz(data, "tolerance_hz"),
                 states=states,
             )
         except (KeyError, TypeError) as exc:
@@ -318,7 +331,7 @@ def _debounce(codes: np.ndarray, confirm_frames: int) -> np.ndarray:
 
 
 def decode_stream(
-    sweeps,
+    block: SweepBlock,
     profile: RingProfile,
     det: DetectorConfig = DetectorConfig(),
     deb: DebounceConfig = DebounceConfig(),
@@ -341,12 +354,12 @@ def decode_stream(
     ``confirm_frames`` frames decodes as press-down, press-up,
     press-down; ``classify_block`` holds that line.
 
-    ``sweeps`` is a ``SweepBlock`` or sweeps on one grid.  Detection runs
-    on row views of the one block (see ``detect_stream``), each chunk is
-    classified as a whole, and the debouncer walks runs of equal codes.
+    Detection runs on row views of the ``SweepBlock`` (see
+    ``detect_stream``), each chunk is classified as a whole, and the
+    debouncer walks runs of equal codes.
     """
     codes, snrs, times = [], [], []
-    for chunk, detection in detect_stream(sweeps, det):
+    for chunk, detection in detect_stream(block, det):
         chunk_codes, chunk_snrs = classify_block(detection, profile)
         codes.append(chunk_codes)
         snrs.append(chunk_snrs)

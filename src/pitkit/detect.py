@@ -10,20 +10,19 @@ Detection works on blocks and returns columns: ``detect_block`` takes a
 together (one batched solve per clipping pass), and returns a
 ``Detection``: the residuals, each row's sigma and one flat peak table,
 built by array operations over the whole block.  ``detect_stream`` cuts
-a sweep train into row views of such blocks, and ``detect_peaks`` is the
-one-row case, read out as ``PeakReport``s.
+a sweep train into row views of such blocks.  One sweep is a one-row
+block.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .trace import Sweep, as_block
+from .trace import SweepBlock
 
 # Most grid points (frames x points per frame) that ``detect_stream``
 # hands ``detect_block`` at once: 80 frames on the 51-point grid, 10 on
@@ -51,29 +50,13 @@ class DetectorConfig:
     def __post_init__(self) -> None:
         if self.baseline_order < 1:
             raise ValueError("baseline_order must be >= 1")
-        if self.peak_threshold <= 0:
-            raise ValueError("peak_threshold must be > 0")
-        if self.min_peak_separation < 0:
-            raise ValueError("min_peak_separation must be >= 0")
-
-
-@dataclass(frozen=True)
-class PeakReport:
-    peak_frequency: float
-    peak_height: float
-    snr: float
-    baseline_residual_sigma: float
-
-    def to_dict(self) -> dict:
-        return {
-            "peak_frequency_hz": self.peak_frequency,
-            "peak_height_db": self.peak_height,
-            "snr": self.snr,
-            "baseline_residual_sigma_db": self.baseline_residual_sigma,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
+        # NaN fails every comparison, so finiteness is checked first
+        if not (math.isfinite(self.peak_threshold) and self.peak_threshold > 0):
+            raise ValueError(f"peak_threshold must be finite and > 0, got {self.peak_threshold!r}")
+        if not (math.isfinite(self.min_peak_separation) and self.min_peak_separation >= 0):
+            raise ValueError(
+                f"min_peak_separation must be finite and >= 0, got {self.min_peak_separation!r}"
+            )
 
 
 def _normalized_grid(frequencies: np.ndarray) -> np.ndarray:
@@ -233,16 +216,6 @@ class Detection:
             column.flags.writeable = False
             object.__setattr__(self, name, column)
 
-    def reports(self) -> list[list[PeakReport]]:
-        """Each row's peaks as ``PeakReport``s, strongest first."""
-        out: list[list[PeakReport]] = [[] for _ in range(len(self.sigma))]
-        sigma = self.sigma.tolist()
-        for r, f, h, s in zip(
-            self.row.tolist(), self.frequency.tolist(), self.height.tolist(), self.snr.tolist()
-        ):
-            out[r].append(PeakReport(f, h, s, sigma[r]))
-        return out
-
 
 def detect_block(
     frequencies: np.ndarray,
@@ -339,34 +312,25 @@ def _strongest_first(
     return row[kept], bin[kept], height[kept]
 
 
-def detect_stream(sweeps, cfg: DetectorConfig = DetectorConfig()):
+def detect_stream(block: SweepBlock, cfg: DetectorConfig = DetectorConfig()):
     """Yield (chunk, detection) for a sweep train, chunk by chunk in order.
 
-    ``sweeps`` is a ``SweepBlock`` or sweeps on one grid (``as_block``).
-    The block is cut into ``SweepBlock`` row views of at most
-    ``BLOCK_POINTS`` grid points, and each goes straight to
-    ``detect_block``.
+    The ``SweepBlock`` is cut into row views of at most ``BLOCK_POINTS``
+    grid points, and each goes straight to ``detect_block``.
     """
-    block = as_block(sweeps)
     rows = max(1, BLOCK_POINTS // max(1, len(block.frequencies)))
     for i in range(0, len(block), rows):
         chunk = block[i : i + rows]
         yield chunk, detect_block(chunk.frequencies, chunk.magnitudes_db, cfg)
 
 
-def detect_peaks(sweep: Sweep, cfg: DetectorConfig = DetectorConfig()) -> list[PeakReport]:
-    """Peak reports of one sweep: ``detect_block`` on a one-row block."""
-    return detect_block(sweep.frequencies, sweep.magnitudes_db[None, :], cfg).reports()[0]
-
-
-def compute_snr(traces_with, traces_without, at_frequency: float) -> float:
+def compute_snr(with_block: SweepBlock, without_block: SweepBlock, at_frequency: float) -> float:
     """(mean with-sensor - mean without-sensor) / std without-sensor,
     evaluated on the dB magnitudes at the grid point nearest
     ``at_frequency``.  Standard deviation is the population form.
 
-    Each set is a ``SweepBlock`` or a sequence of sweeps on one grid; the
-    grid of the with-sensor set locates the point."""
-    with_block, without_block = as_block(traces_with), as_block(traces_without)
+    Each set is a ``SweepBlock``; the grid of the with-sensor set locates
+    the point."""
     if len(with_block) < 2 or len(without_block) < 2:
         raise ValueError("need at least 2 traces in each set")
     idx = int(np.argmin(np.abs(with_block.frequencies - at_frequency)))

@@ -342,7 +342,7 @@ def calibrate_coupling(
 # ---------------------------------------------------------------------------
 # SNR studies: one table entry per study, all run by ``run_snr_study``
 
-# Sweep grids of the study points; each trial sets its own seed.  The
+# The sweep grids of the study points; each trial sets its own seed.  The
 # wide grid spans beyond the operating band so out-of-band resonances
 # are still visible to the analyzer model.
 DEFAULT_GRID = SweepConfig()

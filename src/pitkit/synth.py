@@ -29,7 +29,7 @@ import numpy as np
 from . import defaults
 from .bridge import BridgeConfig, bridge_output, to_db_magnitude
 from .circuit import CoilParams, CoupledPair, capacitance_for_resonance, load_impedance, sensor_impedance
-from .trace import Sweep, SweepBlock, as_block
+from .trace import SweepBlock
 
 if TYPE_CHECKING:
     from .decode import RingProfile
@@ -404,10 +404,9 @@ def synthesize_sweep(
     bridge: BridgeConfig,
     disturb: DisturbanceModel = DisturbanceModel(),
     t: float = 0.0,
-) -> Sweep:
-    """One analyzer sweep at time ``t``: the one-row ``synthesize_block``."""
-    (sweep,) = synthesize_block(cfg, (pair,), bridge, disturb, (t,))
-    return sweep
+) -> SweepBlock:
+    """One analyzer sweep at time ``t``, as the one-row ``synthesize_block``."""
+    return synthesize_block(cfg, (pair,), bridge, disturb, (t,))
 
 
 def scripted_session(
@@ -481,16 +480,20 @@ def scripted_session(
 CSV_HEADER = "frequency_hz,magnitude_db"
 
 
-def sweep_to_csv(sweep: Sweep, path) -> None:
-    """Write one sweep as CSV.  Floats use shortest round-trip formatting,
-    so reading the file back reproduces the values bit-exactly."""
+def sweep_to_csv(sweep: SweepBlock, path) -> None:
+    """Write the one sweep of a one-row block as CSV.  Floats use
+    shortest round-trip formatting, so reading the file back reproduces
+    the values bit-exactly."""
+    if len(sweep) != 1:
+        raise ValueError(f"a sweep CSV holds one sweep, got a block of {len(sweep)}")
     with open(path, "w") as fh:
         fh.write(CSV_HEADER + "\n")
-        for f, m in zip(sweep.frequencies, sweep.magnitudes_db):
-            fh.write(f"{float(f)!r},{float(m)!r}\n")
+        for f, m in zip(sweep.frequencies.tolist(), sweep.magnitudes_db[0].tolist()):
+            fh.write(f"{f!r},{m!r}\n")
 
 
-def sweep_from_csv(path, timestamp: float = 0.0) -> Sweep:
+def sweep_from_csv(path) -> SweepBlock:
+    """Read a sweep CSV as a one-row block at t = 0."""
     freqs = []
     mags = []
     with open(path) as fh:
@@ -512,18 +515,17 @@ def sweep_from_csv(path, timestamp: float = 0.0) -> Sweep:
             except ValueError as exc:
                 raise DataFormatError(f"{path}: line {lineno}: {exc}") from None
     try:
-        return Sweep(np.array(freqs), np.array(mags), timestamp=timestamp)
+        return SweepBlock(np.array(freqs), np.array(mags)[None, :], (0.0,))
     except ValueError as exc:
         raise DataFormatError(f"{path}: {exc}") from None
 
 
-def session_to_json(sweeps: SweepBlock | Sequence[Sweep], path) -> None:
+def session_to_json(block: SweepBlock, path) -> None:
     """Write a sweep train as one columnar JSON object: the grid once
     (``frequencies_hz``), the ``timestamps_s`` and one row of
-    ``magnitudes_db`` per sweep.  ``sweeps`` is a block or a sequence of
-    sweeps on one grid.  Floats use shortest round-trip formatting, so
-    reading the file back reproduces the values bit-exactly."""
-    block = as_block(sweeps)
+    ``magnitudes_db`` per sweep.  Floats use shortest round-trip
+    formatting, so reading the file back reproduces the values
+    bit-exactly."""
     doc = {
         "frequencies_hz": block.frequencies.tolist(),
         "timestamps_s": block.timestamps.tolist(),
@@ -628,7 +630,9 @@ def _records(path, records: list) -> tuple:
             sweep = sweep_from_csv(os.path.join(os.path.dirname(os.fspath(path)), rec["sweep_file"]))
         elif "frequencies_hz" in rec and "magnitudes_db" in rec:
             try:
-                sweep = Sweep(_numbers(rec["frequencies_hz"]), _numbers(rec["magnitudes_db"]))
+                sweep = SweepBlock(
+                    _numbers(rec["frequencies_hz"]), [_numbers(rec["magnitudes_db"])], (0.0,)
+                )
             except (TypeError, ValueError) as exc:
                 raise DataFormatError(f"{path}: record {i}: {exc}") from None
         else:
@@ -642,7 +646,7 @@ def _records(path, records: list) -> tuple:
                 f"{path}: record {i}: frequencies differ from record 0's; "
                 "a session has one grid"
             )
-        rows.append(sweep.magnitudes_db)
+        rows.append(sweep.magnitudes_db[0])
     if grid is None:
         return np.empty(0), np.empty(0), np.empty((0, 0))
     return grid, np.array(times), np.array(rows)

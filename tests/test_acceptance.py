@@ -21,7 +21,7 @@ from pitkit.circuit import (
 )
 from pitkit.dca import design_dca
 from pitkit.decode import PROFILE_PRESETS, classify_block, decode_scroll
-from pitkit.detect import compute_snr, detect_block, detect_peaks
+from pitkit.detect import compute_snr, detect_block
 from pitkit.experiments import (
     SNR_STUDIES,
     ExperimentSpec,
@@ -36,7 +36,7 @@ from pitkit.synth import (
     sweep_to_csv,
     synthesize_sweep,
 )
-from pitkit.trace import Sweep
+from pitkit.trace import SweepBlock
 
 GRID = SweepConfig().frequencies()
 QUIET = DisturbanceModel(noise_sigma=0.0)
@@ -137,15 +137,15 @@ def test_criterion_4_detection_and_false_positive_rates():
         center = rng.uniform(GRID[10], GRID[-11])
         y = background + 0.1 * np.exp(-0.5 * ((GRID - center) / 120e3) ** 2)
         y += rng.normal(0.0, 0.002, GRID.size)
-        peaks = detect_peaks(Sweep(GRID, y))
-        if peaks:
+        found = detect_block(GRID, y[None, :])
+        if len(found.frequency):
             hits += 1
-            if abs(peaks[0].peak_frequency - center) <= 60e3:
+            if abs(found.frequency[0] - center) <= 60e3:
                 localized += 1
     false_alarms = 0
     for _ in range(1000):
         y = background + rng.normal(0.0, 0.002, GRID.size)
-        if detect_peaks(Sweep(GRID, y)):
+        if len(detect_block(GRID, y[None, :]).frequency):
             false_alarms += 1
     elapsed = time.perf_counter() - start
     print(
@@ -162,11 +162,10 @@ def test_criterion_4_detection_and_false_positive_rates():
 def test_criterion_5_snr_definition_fixture():
     """SNR statistic on hand-built traces: a 0.02 dB mean gap over a
     0.002 dB population standard deviation is exactly SNR 10."""
-    with_sensor = [Sweep(GRID, np.full(GRID.size, -54.98))] * 2
-    without = [
-        Sweep(GRID, np.full(GRID.size, -55.002)),
-        Sweep(GRID, np.full(GRID.size, -54.998)),
-    ]
+    with_sensor = SweepBlock(GRID, np.full((2, GRID.size), -54.98), (0.0, 0.0))
+    without = SweepBlock(
+        GRID, [np.full(GRID.size, -55.002), np.full(GRID.size, -54.998)], (0.0, 0.0)
+    )
     snr = compute_snr(with_sensor, without, 28.5e6)
     print(f"criterion 5: fixture SNR {snr:.6f} (expected 10 exactly)")
     assert snr == pytest.approx(10.0, abs=1e-9)
@@ -245,8 +244,8 @@ def test_criterion_9_every_profile_state_classifies():
             disturb=QUIET,
         )
         for i, label in enumerate(labels):
-            sweep = sweeps[(i * 2 + 2) * 5 + 2]
-            detection = detect_block(sweep.frequencies, sweep.magnitudes_db[None, :])
+            frame = (i * 2 + 2) * 5 + 2
+            detection = detect_block(sweeps.frequencies, sweeps.magnitudes_db[frame : frame + 1])
             observed = decode._state_of(profile, classify_block(detection, profile)[0][0])
             expected = frozenset({label}) if profile.kind == "scroll" else label
             if observed != expected:

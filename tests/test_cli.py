@@ -60,6 +60,26 @@ class TestDesignCoil:
         doc = json.loads(out_path.read_text())
         assert doc["per_segment_capacitance_f"] == pytest.approx(180e-12)
 
+    @pytest.mark.parametrize(
+        "option, value, field",
+        [
+            ("--inductance", "nan", "inductance"),
+            ("--inductance", "inf", "inductance"),
+            ("--frequency", "inf", "target_frequency"),
+            ("--frequency", "nan", "target_frequency"),
+            ("--wire-length", "nan", "wire_length"),
+            ("--wire-length", "inf", "wire_length"),
+        ],
+    )
+    def test_rejects_non_finite_value(self, capsys, option, value, field):
+        """NaN passes ``<= 0`` and inf divides to zero, so each is an
+        error naming its field, with nothing written to stdout."""
+        argv = {"--inductance": "1e-6", "--frequency": "26.93e6", "--segments": "3"}
+        argv[option] = value
+        code, out, err = run(capsys, "design-coil", *[x for kv in argv.items() for x in kv])
+        assert code == 1
+        assert out == "" and err.startswith(f"error: {field} must be finite and > 0")
+
     def test_wire_length_violation_is_error(self, capsys):
         code, _, err = run(
             capsys,
@@ -110,9 +130,23 @@ class TestSynthDetect:
         sweep_path = tmp_path / "sweep.csv"
         assert run(capsys, "synth", "--output", str(sweep_path))[0] == 0
         configs = []
-        monkeypatch.setattr(cli, "detect_peaks", lambda sweep, cfg: configs.append(cfg) or [])
+        original = cli.detect_block
+
+        def spy(frequencies, magnitudes, cfg):
+            configs.append(cfg)
+            return original(frequencies, magnitudes, cfg)
+
+        monkeypatch.setattr(cli, "detect_block", spy)
         assert run(capsys, "detect", str(sweep_path))[0] == 0
         assert configs == [DetectorConfig()]
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+    def test_detect_rejects_non_finite_threshold(self, capsys, tmp_path, threshold):
+        sweep_path = tmp_path / "sweep.csv"
+        assert run(capsys, "synth", "--output", str(sweep_path))[0] == 0
+        code, out, err = run(capsys, "detect", str(sweep_path), f"--threshold={threshold}")
+        assert code == 1
+        assert out == "" and err.startswith("error: peak_threshold must be finite and > 0")
 
     def test_detect_missing_file(self, capsys):
         code, _, err = run(capsys, "detect", "/no/such/file.csv")
@@ -301,8 +335,16 @@ class TestSynthDecode:
              "states are the reeds reed-a, reed-b, reed-c"),
             ("press", 45e3, [("on", 28.9e6), ("off", 28.0e6), ("half", 28.4e6)],
              "exactly two states"),
+            ("slide", 45e3, [("idle", 28.9e6), ("left", 28.4e6), ("idle", 28.1e6)],
+             "state labels must be distinct"),
+            ("slide", True, [("idle", 28.9e6)], "tolerance_hz must be a number, got True"),
+            ("slide", "45e3", [("idle", 28.9e6)], "tolerance_hz must be a number, got '45e3'"),
+            ("slide", 45e3, [("idle", False)], "frequency_hz must be a number, got False"),
+            ("slide", 45e3, [("idle", "28.9e6")], "frequency_hz must be a number, got '28.9e6'"),
         ],
-        ids=["no-states", "negative-tolerance", "nan-tolerance", "nan-frequency", "scroll-labels", "press-three-states"],
+        ids=["no-states", "negative-tolerance", "nan-tolerance", "nan-frequency", "scroll-labels",
+             "press-three-states", "duplicate-labels", "boolean-tolerance", "string-tolerance",
+             "boolean-frequency", "string-frequency"],
     )
     def test_decode_rejects_malformed_profile(self, capsys, tmp_path, kind, tolerance, states, message):
         session_path, _ = press_session_file(capsys, tmp_path)

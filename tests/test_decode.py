@@ -2,6 +2,7 @@
 
 import itertools
 import json
+from collections import namedtuple
 from types import SimpleNamespace
 from typing import Optional, Sequence
 from unittest import mock
@@ -23,29 +24,28 @@ from pitkit.decode import (
     events_to_jsonl,
     foreign_block,
 )
-from pitkit.detect import Detection, DetectorConfig, PeakReport, detect_stream
+from pitkit.detect import Detection, DetectorConfig, detect_stream
 from pitkit.synth import DisturbanceModel, SweepConfig, scripted_session
-from pitkit.trace import Sweep
+from pitkit.trace import SweepBlock
 
 GRID = 27e6 + 60e3 * np.arange(51)
 
 
-def sweep_with_peak(frequency, timestamp=0.0, height=0.08):
+def trace_with_peak(frequency, height=0.08):
     """A synthetic trace: flat floor plus a narrow bump at ``frequency``."""
     y = np.full(51, -55.0)
     if frequency is not None:
         y += height * np.exp(-0.5 * ((GRID - frequency) / 120e3) ** 2)
-    return Sweep(GRID, y, timestamp=timestamp)
+    return y
 
 
 def stream_for(profile, labels, rate=5.0):
-    """Sweep train visiting the given state labels, one per frame.
-    ``None`` means no resonance visible that frame."""
-    sweeps = []
-    for i, label in enumerate(labels):
-        f0 = profile.frequency_of(label) if label else None
-        sweeps.append(sweep_with_peak(f0, timestamp=i / rate))
-    return sweeps
+    """Sweep train visiting the given state labels, one frame each, as a
+    block.  ``None`` means no resonance visible that frame."""
+    rows = [trace_with_peak(profile.frequency_of(label) if label else None) for label in labels]
+    return SweepBlock(
+        GRID, np.array(rows).reshape(len(labels), len(GRID)), np.arange(len(labels)) / rate
+    )
 
 
 def block_of(rows):
@@ -205,8 +205,12 @@ class TestDecodeStream:
 # Reference: the per-frame classifier classify_block replaced, and the two
 # state machines decode_stream replaced, kept verbatim (names prefixed) so
 # the block classifier and the one-debouncer decoder can be checked
-# against them.  The state machines read frames from ``detected_frames``.
-def reference_classify_state(peaks: Sequence[PeakReport], profile: RingProfile):
+# against them.  The state machines read frames from ``detected_frames``,
+# each frame's peaks as ``Peak``s read from the detection's columns.
+Peak = namedtuple("Peak", "peak_frequency peak_height snr")
+
+
+def reference_classify_state(peaks: Sequence[Peak], profile: RingProfile):
     if profile.kind == "scroll":
         active = set()
         for peak in peaks:
@@ -223,10 +227,23 @@ def reference_classify_state(peaks: Sequence[PeakReport], profile: RingProfile):
     return None
 
 
+def frame_peak_lists(detection):
+    """Each frame's peaks as ``Peak``s, strongest first."""
+    frames = [[] for _ in range(len(detection.sigma))]
+    for r, f, h, snr in zip(
+        detection.row.tolist(),
+        detection.frequency.tolist(),
+        detection.height.tolist(),
+        detection.snr.tolist(),
+    ):
+        frames[r].append(Peak(f, h, snr))
+    return frames
+
+
 def detected_frames(sweeps, det):
     """(timestamp, peaks) of each frame of ``detect_stream``'s chunks."""
     for chunk, detection in detect_stream(sweeps, det):
-        yield from zip(chunk.timestamps.tolist(), detection.reports())
+        yield from zip(chunk.timestamps.tolist(), frame_peak_lists(detection))
 
 
 def _reference_event_name(profile: RingProfile, label: str, previous: Optional[str]) -> Optional[str]:
@@ -438,7 +455,7 @@ class TestOneDebouncer:
         detection = detection_of(rows)
         codes, top = classify_block(detection, profile)
         idle = frozenset() if profile.kind == "scroll" else profile.idle_label
-        for code, snr, peaks in zip(codes.tolist(), top.tolist(), detection.reports()):
+        for code, snr, peaks in zip(codes.tolist(), top.tolist(), frame_peak_lists(detection)):
             want = reference_classify_state(peaks, profile)
             assert decode._state_of(profile, code) == (idle if want is None else want)
             assert snr == max((p.snr for p in peaks), default=0.0)

@@ -6,23 +6,27 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pitkit import defaults, detect
+from pitkit import cli, defaults, detect
 from pitkit.decode import PROFILE_PRESETS, decode_stream
 from pitkit.detect import (
     BLOCK_POINTS,
     DetectorConfig,
-    PeakReport,
     _peak_table,
     _row_median,
     _vertex,
     compute_snr,
     detect_block,
-    detect_peaks,
     detect_stream,
 )
 from pitkit.circuit import CoupledPair
-from pitkit.synth import DisturbanceModel, SweepConfig, scripted_session, synthesize_block
-from pitkit.trace import Sweep
+from pitkit.synth import (
+    DisturbanceModel,
+    SweepConfig,
+    scripted_session,
+    sweep_to_csv,
+    synthesize_block,
+)
+from pitkit.trace import SweepBlock
 
 GRID = 27e6 + 60e3 * np.arange(51)
 
@@ -37,28 +41,45 @@ def sloped_background():
     return -52.0 + 0.8 * x + 0.3 * x**2 - 0.1 * x**3
 
 
-def fit_baseline(sweep, order):
-    """The unmasked least-squares baseline, the first fit of
+def fit_baseline(frequencies, y, order):
+    """The unmasked least-squares baseline of one sweep, the first fit of
     ``_masked_baseline``."""
-    return detect._fit(detect._vandermonde(sweep.frequencies, order), sweep.magnitudes_db[None])[0]
+    return detect._fit(detect._vandermonde(frequencies, order), y[None])[0]
+
+
+def detect_one(y):
+    """The ``Detection`` of one sweep on ``GRID``: a one-row block."""
+    return detect_block(GRID, y[None, :])
+
+
+def peak_rows(detection):
+    """Each row's peaks as (frequency, height, snr, sigma) tuples,
+    strongest first, read from the peak table."""
+    rows = [[] for _ in range(len(detection.sigma))]
+    sigma = detection.sigma.tolist()
+    for r, f, h, snr in zip(
+        detection.row.tolist(),
+        detection.frequency.tolist(),
+        detection.height.tolist(),
+        detection.snr.tolist(),
+    ):
+        rows[r].append((f, h, snr, sigma[r]))
+    return rows
 
 
 class TestFitBaseline:
     def test_exact_polynomial_leaves_zero_residual(self):
         x = (GRID - GRID.mean()) / 1.5e6
         y = -50.0 + 1.2 * x - 0.7 * x**2 + 0.05 * x**5
-        sweep = Sweep(GRID, y)
-        residual = y - fit_baseline(sweep, 5)
+        residual = y - fit_baseline(GRID, y, 5)
         assert np.max(np.abs(residual)) < 1e-9
 
     def test_flat_trace_recovered_exactly(self):
-        sweep = Sweep(GRID, np.full(51, -55.0))
-        assert fit_baseline(sweep, 5) == pytest.approx(np.full(51, -55.0))
+        assert fit_baseline(GRID, np.full(51, -55.0), 5) == pytest.approx(np.full(51, -55.0))
 
     def test_needs_enough_points(self):
-        sweep = Sweep(GRID[:5], np.zeros(5))
         with pytest.raises(ValueError):
-            fit_baseline(sweep, 5)
+            fit_baseline(GRID[:5], np.zeros(5), 5)
 
     @given(order=st.integers(1, 5), seed=st.integers(0, 1000))
     @settings(max_examples=30, deadline=None)
@@ -69,28 +90,27 @@ class TestFitBaseline:
         y = rng.normal(-55.0, 0.01, size=51)
         x = (GRID - GRID.mean()) / 1.5e6
         extra = np.polynomial.polynomial.polyval(x, rng.normal(0, 1, order + 1))
-        r1 = y - fit_baseline(Sweep(GRID, y), order)
-        r2 = (y + extra) - fit_baseline(Sweep(GRID, y + extra), order)
+        r1 = y - fit_baseline(GRID, y, order)
+        r2 = (y + extra) - fit_baseline(GRID, y + extra, order)
         assert np.max(np.abs(r1 - r2)) < 1e-9
 
 
 class TestDetectPeaks:
     def test_single_narrow_peak(self):
         y = sloped_background() + gaussian_peak(28.5e6, 0.1)
-        peaks = detect_peaks(Sweep(GRID, y))
-        assert len(peaks) == 1
-        assert abs(peaks[0].peak_frequency - 28.5e6) < 60e3
-        assert peaks[0].peak_height == pytest.approx(0.1, rel=0.2)
+        found = detect_one(y)
+        assert len(found.height) == 1
+        assert abs(found.frequency[0] - 28.5e6) < 60e3
+        assert found.height[0] == pytest.approx(0.1, rel=0.2)
 
     def test_masked_refit_recovers_most_of_the_height(self):
         """The iterative masked refit keeps the fit from absorbing a
         narrow peak: at least 80% of the injected height survives."""
         y = sloped_background() + gaussian_peak(28.5e6, 0.1)
-        peaks = detect_peaks(Sweep(GRID, y))
-        assert peaks[0].peak_height >= 0.08
+        assert detect_one(y).height[0] >= 0.08
 
     def test_flat_trace_yields_nothing(self):
-        assert detect_peaks(Sweep(GRID, sloped_background())) == []
+        assert len(detect_one(sloped_background()).height) == 0
 
     def test_threshold_is_closed(self):
         """A 3-point triangle of exact threshold height is reported."""
@@ -98,39 +118,38 @@ class TestDetectPeaks:
         y[25] += 0.02
         y[24] += 0.01
         y[26] += 0.01
-        peaks = detect_peaks(Sweep(GRID, y))
-        assert len(peaks) == 1
-        assert peaks[0].peak_height >= 0.02
+        found = detect_one(y)
+        assert len(found.height) == 1
+        assert found.height[0] >= 0.02
 
     def test_subthreshold_peak_rejected(self):
         rng = np.random.default_rng(0)
         y = sloped_background() + rng.normal(0, 0.002, 51)
         y += gaussian_peak(28.5e6, 0.012)
-        assert detect_peaks(Sweep(GRID, y)) == []
+        assert len(detect_one(y).height) == 0
 
     def test_two_peaks_sorted_by_height(self):
         y = sloped_background()
         y += gaussian_peak(28.9e6, 0.06) + gaussian_peak(29.3e6, 0.1)
-        peaks = detect_peaks(Sweep(GRID, y))
-        assert len(peaks) == 2
-        assert peaks[0].peak_height > peaks[1].peak_height
-        assert abs(peaks[0].peak_frequency - 29.3e6) < 60e3
-        assert abs(peaks[1].peak_frequency - 28.9e6) < 60e3
+        found = detect_one(y)
+        assert len(found.height) == 2
+        assert found.height[0] > found.height[1]
+        assert abs(found.frequency[0] - 29.3e6) < 60e3
+        assert abs(found.frequency[1] - 28.9e6) < 60e3
 
     def test_minimum_separation_prunes_weaker_neighbor(self):
         y = sloped_background()
         y += gaussian_peak(28.90e6, 0.1) + gaussian_peak(29.02e6, 0.06)
-        peaks = detect_peaks(Sweep(GRID, y))
-        assert len(peaks) == 1
-        assert abs(peaks[0].peak_frequency - 28.90e6) < 60e3
+        found = detect_one(y)
+        assert len(found.height) == 1
+        assert abs(found.frequency[0] - 28.90e6) < 60e3
 
     def test_vertex_refinement_beats_the_grid(self):
         """An off-grid peak center is recovered to better than half a
         step by the parabolic vertex."""
         center = 28.513e6
         y = sloped_background() + gaussian_peak(center, 0.1)
-        peaks = detect_peaks(Sweep(GRID, y))
-        assert abs(peaks[0].peak_frequency - center) < 30e3
+        assert abs(detect_one(y).frequency[0] - center) < 30e3
 
     @given(seed=st.integers(0, 200))
     @settings(max_examples=25, deadline=None)
@@ -141,15 +160,11 @@ class TestDetectPeaks:
         y = sloped_background() + gaussian_peak(28.74e6, 0.08)
         x = (GRID - GRID.mean()) / 1.5e6
         drift = np.polynomial.polynomial.polyval(x, rng.normal(0, 0.5, 6))
-        before = detect_peaks(Sweep(GRID, y))
-        after = detect_peaks(Sweep(GRID, y + drift))
-        assert len(before) == len(after) == 1
-        assert after[0].peak_frequency == pytest.approx(
-            before[0].peak_frequency, abs=1.0
-        )
-        assert after[0].peak_height == pytest.approx(
-            before[0].peak_height, rel=1e-6
-        )
+        before = detect_one(y)
+        after = detect_one(y + drift)
+        assert len(before.height) == len(after.height) == 1
+        assert after.frequency[0] == pytest.approx(before.frequency[0], abs=1.0)
+        assert after.height[0] == pytest.approx(before.height[0], rel=1e-6)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -159,22 +174,38 @@ class TestDetectPeaks:
         with pytest.raises(ValueError):
             DetectorConfig(min_peak_separation=-1.0)
 
-    def test_report_json_keys(self):
-        y = sloped_background() + gaussian_peak(28.5e6, 0.1)
-        report = detect_peaks(Sweep(GRID, y))[0]
-        payload = json.loads(report.to_json())
-        assert set(payload) == {
-            "peak_frequency_hz",
-            "peak_height_db",
-            "snr",
-            "baseline_residual_sigma_db",
-        }
+    @pytest.mark.parametrize("field", ["peak_threshold", "min_peak_separation"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_config_rejects_non_finite(self, field, value):
+        """NaN fails every comparison, so it must not pass the sign check."""
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            DetectorConfig(**{field: value})
+
+    def test_report_json_keys(self, tmp_path, capsys):
+        """``pitkit detect`` writes one JSON line per peak, strongest
+        first, with the peak-table columns and the row sigma, in this key
+        order."""
+        y = sloped_background() + gaussian_peak(28.5e6, 0.1) + gaussian_peak(29.3e6, 0.05)
+        path = tmp_path / "sweep.csv"
+        sweep_to_csv(SweepBlock(GRID, y[None, :], (0.0,)), path)
+        assert cli.main(["detect", str(path)]) == 0
+        payloads = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        found = detect_one(y)
+        assert [list(p) for p in payloads] == [
+            ["peak_frequency_hz", "peak_height_db", "snr", "baseline_residual_sigma_db"]
+        ] * 2
+        assert [tuple(p.values()) for p in payloads] == peak_rows(found)[0]
+
+
+def block_of(rows):
+    """A block of sweeps on ``GRID``, all at t = 0."""
+    return SweepBlock(GRID, np.array(rows), np.zeros(len(rows)))
 
 
 class TestComputeSnr:
     @staticmethod
     def traces(values):
-        return [Sweep(GRID, np.full(51, v)) for v in values]
+        return block_of([np.full(51, v) for v in values])
 
     def test_exact_snr_ten(self):
         """Mean gap 0.02 dB over population std 0.002 dB is SNR 10."""
@@ -208,11 +239,8 @@ class TestComputeSnr:
         bumped = base.copy()
         idx = 25
         bumped[idx] += 0.05
-        with_sensor = [Sweep(GRID, bumped)] * 2
-        without = [
-            Sweep(GRID, base + 0.001),
-            Sweep(GRID, base - 0.001),
-        ]
+        with_sensor = block_of([bumped] * 2)
+        without = block_of([base + 0.001, base - 0.001])
         snr_on = compute_snr(with_sensor, without, GRID[idx] + 20e3)
         snr_off = compute_snr(with_sensor, without, GRID[idx] + 40e3)
         assert snr_on == pytest.approx(50.0)
@@ -270,7 +298,7 @@ def reference_peaks(frequencies, residual, cfg):
 
 def peak_indices(residual_row, peaks):
     """Grid index of each report: its height is the residual there."""
-    return [int(np.flatnonzero(residual_row == p.peak_height)[0]) for p in peaks]
+    return [int(np.flatnonzero(residual_row == height)[0]) for _, height, _, _ in peaks]
 
 
 @st.composite
@@ -306,7 +334,7 @@ def reference_row_peaks(
     sigma: float,
     candidates: np.ndarray,
     cfg: DetectorConfig,
-) -> list[PeakReport]:
+) -> list[tuple]:
     kept: list[int] = []
     for i in candidates[np.argsort(-residual[candidates], kind="stable")].tolist():
         if all(
@@ -315,11 +343,11 @@ def reference_row_peaks(
         ):
             kept.append(i)
     return [
-        PeakReport(
-            peak_frequency=reference_vertex_frequency(frequencies, residual, i),
-            peak_height=float(residual[i]),
-            snr=float(residual[i] / sigma),
-            baseline_residual_sigma=sigma,
+        (
+            reference_vertex_frequency(frequencies, residual, i),
+            float(residual[i]),
+            float(residual[i] / sigma),
+            sigma,
         )
         for i in kept
     ]
@@ -352,12 +380,8 @@ def reference_reports(f, detection, cfg):
 
 
 def report_bits(rows):
-    """Every float of every report, as its hex string."""
-    return [
-        [tuple(float(x).hex() for x in (p.peak_frequency, p.peak_height, p.snr,
-                                         p.baseline_residual_sigma)) for p in row]
-        for row in rows
-    ]
+    """Every float of every peak, as its hex string."""
+    return [[tuple(float(x).hex() for x in peak) for peak in row] for row in rows]
 
 
 @st.composite
@@ -390,7 +414,7 @@ class TestPeakTable:
     def test_reports_equal_row_peaks_reference(self, table):
         f, residual, cfg = table
         detection = _peak_table(f, residual, cfg)
-        assert report_bits(detection.reports()) == report_bits(
+        assert report_bits(peak_rows(detection)) == report_bits(
             reference_reports(f, detection, cfg)
         )
 
@@ -401,7 +425,7 @@ class TestPeakTable:
         if separation is not None:
             cfg = DetectorConfig(cfg.baseline_order, cfg.peak_threshold, separation)
         detection = detect_block(f, y, cfg)
-        assert report_bits(detection.reports()) == report_bits(
+        assert report_bits(peak_rows(detection)) == report_bits(
             reference_reports(f, detection, cfg)
         )
 
@@ -434,8 +458,6 @@ class TestPeakTable:
         assert np.array_equal(detection.snr, detection.height / detection.sigma[detection.row])
         for name in ("residuals", "sigma", "row", "frequency", "height", "snr"):
             assert not getattr(detection, name).flags.writeable
-        assert detection.reports()[1] == []
-        assert isinstance(detection.reports()[0][0], PeakReport)
 
 
 class TestDetectBlock:
@@ -446,11 +468,11 @@ class TestDetectBlock:
         does, so block boundaries never change a decoded stream."""
         f, y, cfg = block
         detection = detect_block(f, y, cfg)
-        residual, peaks = detection.residuals, detection.reports()
+        residual, peaks = detection.residuals, peak_rows(detection)
         assert residual.shape == y.shape and len(peaks) == len(y)
         for t in range(len(y)):
             row = detect_block(f, y[t : t + 1], cfg)
-            row_residual, (row_peaks,) = row.residuals, row.reports()
+            row_residual, (row_peaks,) = row.residuals, peak_rows(row)
             assert np.array_equal(residual[t], row_residual[0])
             assert peaks[t] == row_peaks
 
@@ -466,14 +488,14 @@ class TestDetectBlock:
         40-digit solution), so the bound also has a 1e-10 relative part."""
         f, y, cfg = block
         detection = detect_block(f, y, cfg)
-        residual, peaks = detection.residuals, detection.reports()
+        residual, peaks = detection.residuals, peak_rows(detection)
         for t in range(len(y)):
             expected = reference_residual(f, y[t], cfg.baseline_order)
             np.testing.assert_allclose(residual[t], expected, rtol=1e-10, atol=1e-9)
             oracle = reference_peaks(f, expected, cfg)
             assert peak_indices(residual[t], peaks[t]) == [i for i, _ in oracle]
-            for p, (_, snr) in zip(peaks[t], oracle):
-                assert p.snr == pytest.approx(snr, rel=1e-6)
+            for (_, _, got, _), (_, snr) in zip(peaks[t], oracle):
+                assert got == pytest.approx(snr, rel=1e-6)
 
     @given(
         rows=st.integers(1, 4),
@@ -492,15 +514,15 @@ class TestDetectBlock:
 
     def test_empty_block(self):
         detection = detect_block(GRID, np.empty((0, 51)))
-        assert detection.residuals.shape == (0, 51) and detection.reports() == []
+        assert detection.residuals.shape == (0, 51) and len(detection.row) == 0
 
-    def test_one_row_block_is_detect_peaks(self):
+    def test_one_row_block(self):
+        """One sweep is a one-row block: one residual row, one sigma, and
+        its peaks all in row 0."""
         y = sloped_background() + gaussian_peak(28.5e6, 0.1)
-        detection = detect_block(GRID, y[None, :])
-        residual, (peaks,) = detection.residuals, detection.reports()
-        assert residual.shape == (1, 51)
-        assert peaks == detect_peaks(Sweep(GRID, y))
-        assert len(peaks) == 1
+        detection = detect_one(y)
+        assert detection.residuals.shape == (1, 51) and detection.sigma.shape == (1,)
+        assert detection.row.tolist() == [0]
 
     def test_too_few_points_raise(self):
         with pytest.raises(ValueError, match="need more than"):
@@ -661,53 +683,31 @@ def press_session(step, seed, duration):
     )
 
 
-def shifted(sweeps, offset):
-    return [Sweep(s.frequencies, s.magnitudes_db, s.timestamp + offset) for s in sweeps]
-
-
 class TestDetectStream:
     def test_empty_stream(self):
-        assert list(detect_stream([])) == []
-
-    def test_mixed_grid_raises(self):
-        """A train reads as one block, so a sweep off the first sweep's
-        grid is an error, named by its index."""
-        coarse = press_session(60e3, 1, 4.0)
-        fine = shifted(press_session(7.5e3, 2, 2.0), 4.0)
-        train = [*coarse, *fine]
-        with pytest.raises(ValueError, match="sweep 20 is not on the grid of sweep 0"):
-            list(detect_stream(train))
-        with pytest.raises(ValueError, match="sweep 20 is not on the grid of sweep 0"):
-            decode_stream(train, PROFILE_PRESETS["press"])
-
-    def test_generator_decodes_like_the_block(self):
-        """A generator of sweeps on one grid detects and decodes as the
-        block it came from."""
-        press = PROFILE_PRESETS["press"]
-        block = press_session(60e3, 3, 24.0)
-        assert_same_stream(
-            stream_rows(detect_stream(iter(block))), stream_rows(detect_stream(block))
-        )
-        events = decode_stream(block, press)
-        assert len(events) == 2 * 6
-        assert decode_stream(iter(block), press) == events
+        assert list(detect_stream(press_session(60e3, 1, 0.2)[:0])) == []
 
 
 def stream_rows(stream):
-    """(sweep, residual, peaks) for each row of ``detect_stream``'s
-    (chunk, detection) pairs."""
+    """(timestamp, magnitudes, residual, peaks) for each row of
+    ``detect_stream``'s (chunk, detection) pairs."""
     return [
         row
         for chunk, detection in stream
-        for row in zip(chunk, detection.residuals, detection.reports())
+        for row in zip(
+            chunk.timestamps.tolist(),
+            chunk.magnitudes_db,
+            detection.residuals,
+            peak_rows(detection),
+        )
     ]
 
 
 def assert_same_stream(got, expected):
     assert len(got) == len(expected)
-    for (s1, r1, p1), (s2, r2, p2) in zip(got, expected):
-        assert s1.timestamp == s2.timestamp
-        assert np.array_equal(s1.magnitudes_db, s2.magnitudes_db)
+    for (t1, m1, r1, p1), (t2, m2, r2, p2) in zip(got, expected):
+        assert t1 == t2
+        assert np.array_equal(m1, m2)
         assert np.array_equal(r1, r2)
         assert p1 == p2
 
@@ -719,9 +719,9 @@ class TestDetectStreamOnBlock:
         ids=["51pt-empty", "51pt-one", "51pt-long", "401pt-empty", "401pt-one", "401pt-long"],
     )
     def test_block_equals_its_rows(self, step, frames):
-        """Every row comes back once, in order, with what the list of rows
-        gives; 170 rows on 51 points and 23 on 401 span three blocks, the
-        last one partial."""
+        """Every row comes back once, in order, with what detecting it
+        alone as a one-row slice gives; 170 rows on 51 points and 23 on
+        401 span three blocks, the last one partial."""
         # The empty case is a zero-row slice: scripted_session rejects a
         # duration that gives no frame.
         block = press_session(step, 8, max(frames, 1) / 5.0)[:frames]
@@ -729,8 +729,12 @@ class TestDetectStreamOnBlock:
         if frames > 1:
             assert frames > BLOCK_POINTS // len(block.frequencies)
         got = stream_rows(detect_stream(block))
-        assert_same_stream(got, stream_rows(detect_stream(list(block))))
-        assert [s.timestamp for s, _, _ in got] == block.timestamps.tolist()
+        alone = [
+            (block[i : i + 1], detect_block(block.frequencies, block.magnitudes_db[i : i + 1]))
+            for i in range(frames)
+        ]
+        assert_same_stream(got, stream_rows(alone))
+        assert [t for t, *_ in got] == block.timestamps.tolist()
 
     def test_block_goes_to_detect_block_as_views(self, monkeypatch):
         """No gathering and no copy: each detect_block call gets a view of
@@ -750,7 +754,8 @@ class TestDetectStreamOnBlock:
         assert calls == [(True, True)] * 3
 
     @pytest.mark.parametrize("name", sorted(PROFILE_PRESETS))
-    def test_decode_block_equals_rows(self, name):
+    def test_decode_block_equals_rows(self, name, monkeypatch):
+        """Cutting the block into one-row chunks decodes the same events."""
         profile = PROFILE_PRESETS[name]
         labels = [s.label for s in profile.states]
         script = [(1.0 + 1.2 * i, label) for i, label in enumerate(labels[1:] + labels[:1])]
@@ -768,4 +773,5 @@ class TestDetectStreamOnBlock:
         )
         events = decode_stream(block, profile)
         assert events
-        assert events == decode_stream(list(block), profile)
+        monkeypatch.setattr(detect, "BLOCK_POINTS", 1)
+        assert events == decode_stream(block, profile)

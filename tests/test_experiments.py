@@ -32,6 +32,7 @@ from pitkit.synth import (
     synthesize_block,
     synthesize_sweep,
 )
+from pitkit.trace import SweepBlock
 
 
 def default_pair(coupling=defaults.K_REFERENCE, turns=8):
@@ -83,9 +84,14 @@ class TestMeasureSnr:
         at_frequency, _ = noiseless_peak(pair, bridge, cfg, disturb)
         off = CoupledPair(pair.reader, pair.sensor, 0.0)
         times = [i / 5.0 for i in range(200)]
-        with_sensor = [synthesize_sweep(cfg, pair, bridge, disturb, t) for t in times[:100]]
-        without = [synthesize_sweep(cfg, off, bridge, disturb, t) for t in times[100:]]
-        expected = compute_snr(with_sensor, without, at_frequency)
+
+        def one_at_a_time(set_pair, set_times):
+            rows = [synthesize_sweep(cfg, set_pair, bridge, disturb, t) for t in set_times]
+            return SweepBlock(rows[0].frequencies, [r.magnitudes_db[0] for r in rows], set_times)
+
+        expected = compute_snr(
+            one_at_a_time(pair, times[:100]), one_at_a_time(off, times[100:]), at_frequency
+        )
         assert measure_snr(pair, bridge, cfg, disturb, snr_noise(cfg)) == expected
 
     def test_snr_increases_with_coupling(self):
@@ -115,7 +121,7 @@ class TestCalibrateCoupling:
             bridge,
             DisturbanceModel(noise_sigma=0.0),
         )
-        residual = detect_block(sweep.frequencies, sweep.magnitudes_db[None, :]).residuals[0]
+        residual = detect_block(sweep.frequencies, sweep.magnitudes_db).residuals[0]
         height = float(residual.max())
         assert height == pytest.approx(
             target * defaults.NOISE_SIGMA_DB, rel=0.35
@@ -425,9 +431,10 @@ class TestSnrVsMetal:
                 cfg = SweepConfig(seed=seed + trial)
                 for i in range(n_frames):
                     sweep = synthesize_sweep(cfg, pair, bridge, disturb, t=i / 5.0)
-                    detection = detect_block(sweep.frequencies, sweep.magnitudes_db[None, :])
-                    peaks = detection.reports()[0]
-                    detections += any(abs(p.peak_frequency - peak_f) <= 2 * cfg.step for p in peaks)
+                    detection = detect_block(sweep.frequencies, sweep.magnitudes_db)
+                    detections += any(
+                        abs(f - peak_f) <= 2 * cfg.step for f in detection.frequency.tolist()
+                    )
                     foreign += bool(foreign_block(detection, PRESS_PROFILE)[0])
             assert detection_rate == detections / (trials * n_frames)
             assert foreign_rate == foreign / (trials * n_frames)

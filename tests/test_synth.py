@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from pitkit import defaults, synth
 from pitkit.bridge import bridge_output, to_db_magnitude
 from pitkit.circuit import CoilParams, CoupledPair, capacitance_for_resonance, load_impedance
-from pitkit.detect import _fit, _vandermonde, detect_peaks
+from pitkit.detect import _fit, _vandermonde, detect_block
 from pitkit.synth import (
     DataFormatError,
     DisturbanceModel,
@@ -29,7 +29,7 @@ from pitkit.synth import (
     synthesize_block,
     synthesize_sweep,
 )
-from pitkit.trace import Sweep, SweepBlock
+from pitkit.trace import SweepBlock
 
 QUIET = DisturbanceModel(noise_sigma=0.0)
 
@@ -66,8 +66,14 @@ def default_pair(f0=29.0e6, coupling=1e-3):
 
 
 def fit_baseline(sweep, order):
-    """The unmasked least-squares baseline of the detector."""
-    return _fit(_vandermonde(sweep.frequencies, order), sweep.magnitudes_db[None])[0]
+    """The unmasked least-squares baseline of the detector, for the one
+    sweep of a one-row block."""
+    return _fit(_vandermonde(sweep.frequencies, order), sweep.magnitudes_db)[0]
+
+
+def detection_of(sweeps):
+    """The ``Detection`` of a block of sweeps."""
+    return detect_block(sweeps.frequencies, sweeps.magnitudes_db)
 
 
 class TestSweepConfig:
@@ -99,27 +105,33 @@ class TestSweepConfig:
 
 
 class TestSweepValidation:
+    """One sweep is a one-row block, validated as every block is."""
+
+    @staticmethod
+    def sweep(frequencies, magnitudes):
+        return SweepBlock(np.array(frequencies), [magnitudes], (0.0,))
+
     def test_rejects_decreasing_frequencies(self):
         with pytest.raises(ValueError):
-            Sweep(np.array([2.0, 1.0, 3.0]), np.zeros(3))
+            self.sweep([2.0, 1.0, 3.0], np.zeros(3))
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
-            Sweep(np.array([1.0, 2.0]), np.zeros(3))
+            self.sweep([1.0, 2.0], np.zeros(3))
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            Sweep(np.array([1.0, 2.0]), np.array([0.0, np.nan]))
+            self.sweep([1.0, 2.0], [0.0, np.nan])
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf])
     def test_rejects_infinite_magnitudes(self, bad):
         with pytest.raises(ValueError, match="finite"):
-            Sweep(np.array([1.0, 2.0]), np.array([0.0, bad]))
+            self.sweep([1.0, 2.0], [0.0, bad])
 
     def test_arrays_are_read_only(self):
-        sweep = Sweep(np.array([1.0, 2.0]), np.zeros(2))
+        sweep = self.sweep([1.0, 2.0], np.zeros(2))
         with pytest.raises(ValueError):
-            sweep.magnitudes_db[0] = 1.0
+            sweep.magnitudes_db[0, 0] = 1.0
 
 
 class TestStaticBaseline:
@@ -129,14 +141,14 @@ class TestStaticBaseline:
         cfg = SweepConfig()
         pair = default_pair(coupling=0.0)
         sweep = synthesize_sweep(cfg, pair, defaults.bridge_config(), QUIET)
-        residual = sweep.magnitudes_db - fit_baseline(sweep, 2)
+        residual = sweep.magnitudes_db[0] - fit_baseline(sweep, 2)
         assert np.max(np.abs(residual)) < 1e-9
 
     def test_zero_coupling_yields_no_peaks(self):
         cfg = SweepConfig()
         pair = default_pair(coupling=0.0)
         sweep = synthesize_sweep(cfg, pair, defaults.bridge_config(), QUIET)
-        assert detect_peaks(sweep) == []
+        assert len(detection_of(sweep).height) == 0
 
     def test_static_offset_grows_with_mismatch(self):
         cfg = SweepConfig()
@@ -153,10 +165,10 @@ class TestPeakPlacement:
         step of 29 MHz with height in the detectable 0.02-0.2 dB band."""
         cfg = SweepConfig()
         sweep = synthesize_sweep(cfg, default_pair(), defaults.bridge_config(), QUIET)
-        peaks = detect_peaks(sweep)
-        assert len(peaks) == 1
-        assert abs(peaks[0].peak_frequency - 29.0e6) <= 60e3
-        assert 0.02 <= peaks[0].peak_height <= 0.2
+        found = detection_of(sweep)
+        assert len(found.height) == 1
+        assert abs(found.frequency[0] - 29.0e6) <= 60e3
+        assert 0.02 <= found.height[0] <= 0.2
 
     @pytest.mark.parametrize("coupling", [1e-4, 3e-4, 1e-3, 3e-3])
     @pytest.mark.parametrize("f0", [27.6e6, 28.4e6, 29.3e6])
@@ -164,7 +176,7 @@ class TestPeakPlacement:
         cfg = SweepConfig()
         pair = default_pair(f0=f0, coupling=coupling)
         sweep = synthesize_sweep(cfg, pair, defaults.bridge_config(), QUIET)
-        baseline = sweep.magnitudes_db - fit_baseline(sweep, 2)
+        baseline = sweep.magnitudes_db[0] - fit_baseline(sweep, 2)
         f_hat = sweep.frequencies[np.argmax(baseline)]
         assert abs(f_hat - f0) <= cfg.step
 
@@ -175,7 +187,7 @@ class TestPeakPlacement:
         bridge = defaults.bridge_config()
         with_sensor = synthesize_sweep(cfg, default_pair(), bridge, QUIET)
         without = synthesize_sweep(cfg, default_pair(coupling=0.0), bridge, QUIET)
-        diff = with_sensor.magnitudes_db - without.magnitudes_db
+        (diff,) = with_sensor.magnitudes_db - without.magnitudes_db
         assert diff[np.argmax(diff)] > 0.02
         assert abs(diff[0]) < 2e-3 and abs(diff[-1]) < 2e-3
 
@@ -222,7 +234,7 @@ class TestDeterminismAndNoise:
         b = synthesize_sweep(cfg, pair, defaults.bridge_config(), disturb, t=2.0)
         assert not np.array_equal(a.magnitudes_db, b.magnitudes_db)
         # drift stays a low-order polynomial: the detector never sees it
-        assert detect_peaks(a) == [] and detect_peaks(b) == []
+        assert len(detection_of(a).height) == len(detection_of(b).height) == 0
 
     def test_frequency_drift_moves_the_peak(self):
         cfg = SweepConfig(seed=3)
@@ -231,7 +243,7 @@ class TestDeterminismAndNoise:
         positions = set()
         for t in np.arange(0.0, 10.0, 1.0):
             sweep = synthesize_sweep(cfg, default_pair(), bridge, disturb, t=t)
-            positions.add(round(detect_peaks(sweep)[0].peak_frequency, -3))
+            positions.add(round(detection_of(sweep).frequency.tolist()[0], -3))
         assert len(positions) > 1
 
     @pytest.mark.parametrize(
@@ -300,9 +312,9 @@ class TestNoiseSeeding:
                 cfg, [default_pair()] * rows, bridge, DisturbanceModel(), times
             )
             assert kernel_calls == [rows]
-            for row, t in zip(block, times):
+            for row, t in zip(block.magnitudes_db, times):
                 expected = reference_sweep(cfg, default_pair(), bridge, DisturbanceModel(), t)
-                assert np.array_equal(row.magnitudes_db, expected)
+                assert np.array_equal(row, expected)
 
     @pytest.mark.parametrize("step", [60e3, 30e3, 7.5e3], ids=["51pt", "101pt", "401pt"])
     def test_session_seeds_once(self, kernel_calls, step):
@@ -419,8 +431,7 @@ class TestScriptedSession:
     def test_empty_events_constant_idle_train(self):
         sweeps = self.session([], duration=2.0)
         assert len(sweeps) == 10
-        for s in sweeps[1:]:
-            assert np.array_equal(s.magnitudes_db, sweeps[0].magnitudes_db)
+        assert (sweeps.magnitudes_db == sweeps.magnitudes_db[0]).all()
 
     def test_slide_walk_peak_ladder(self):
         """idle -> 2 mm left -> 4 mm left walks the peak 28.7 -> 28.4 ->
@@ -429,9 +440,9 @@ class TestScriptedSession:
         sweeps = self.session(events, duration=3.0)
         expected = [28.7e6, 28.4e6, 28.1e6]
         for second, f0 in zip(range(3), expected):
-            sweep = sweeps[second * 5 + 2]
-            peak = detect_peaks(sweep)[0]
-            assert abs(peak.peak_frequency - f0) <= 60e3
+            frame = second * 5 + 2
+            found = detection_of(sweeps[frame : frame + 1])
+            assert abs(found.frequency[0] - f0) <= 60e3
 
     def test_unknown_label_raises(self):
         with pytest.raises(ValueError, match="unknown state"):
@@ -452,15 +463,14 @@ class TestScriptedSession:
         sweeps = self.session(
             [], duration=4.0, scene_timeline=[(0.0, near), (2.0, far)]
         )
-        h_near = detect_peaks(sweeps[2])[0].peak_height
-        peaks_far = detect_peaks(sweeps[-1])
-        h_far = peaks_far[0].peak_height if peaks_far else 0.0
+        h_near = detection_of(sweeps[2:3]).height[0]
+        peaks_far = detection_of(sweeps[-1:]).height
+        h_far = peaks_far[0] if len(peaks_far) else 0.0
         assert h_near > h_far
 
     def test_timestamps_follow_acquisition_rate(self):
         sweeps = self.session([], duration=2.0)
-        times = [s.timestamp for s in sweeps]
-        assert times == pytest.approx(np.arange(10) / 5.0)
+        assert sweeps.timestamps.tolist() == pytest.approx(np.arange(10) / 5.0)
 
 
 class TestSerialization:
@@ -469,15 +479,21 @@ class TestSerialization:
         sweep = synthesize_sweep(cfg, default_pair(), defaults.bridge_config(), t=0.4)
         path = tmp_path / "sweep.csv"
         sweep_to_csv(sweep, path)
-        back = sweep_from_csv(path, timestamp=0.4)
+        back = sweep_from_csv(path)
         assert np.array_equal(back.frequencies, sweep.frequencies)
         assert np.array_equal(back.magnitudes_db, sweep.magnitudes_db)
+        assert back.timestamps.tolist() == [0.0]
 
     def test_csv_header(self, tmp_path):
-        sweep = Sweep(np.array([1.0, 2.0]), np.array([-55.0, -54.0]))
+        sweep = SweepBlock(np.array([1.0, 2.0]), [[-55.0, -54.0]], (0.0,))
         path = tmp_path / "s.csv"
         sweep_to_csv(sweep, path)
         assert path.read_text().splitlines()[0] == "frequency_hz,magnitude_db"
+
+    def test_csv_holds_one_sweep(self, tmp_path):
+        block = SweepBlock(np.array([1.0, 2.0]), np.zeros((2, 2)), (0.0, 0.2))
+        with pytest.raises(ValueError, match="one sweep, got a block of 2"):
+            sweep_to_csv(block, tmp_path / "s.csv")
 
     def test_bad_header_raises(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -494,16 +510,14 @@ class TestSerialization:
     def test_session_json_round_trip(self, tmp_path):
         cfg = SweepConfig(seed=2)
         bridge = defaults.bridge_config()
-        sweeps = [
-            synthesize_sweep(cfg, default_pair(), bridge, t=i / 5.0) for i in range(4)
-        ]
+        times = [i / 5.0 for i in range(4)]
+        sweeps = synthesize_block(cfg, [default_pair()] * 4, bridge, DisturbanceModel(), times)
         path = tmp_path / "session.json"
         session_to_json(sweeps, path)
         back = session_from_json(path)
         assert len(back) == 4
-        for a, b in zip(sweeps, back):
-            assert a.timestamp == b.timestamp
-            assert np.array_equal(a.magnitudes_db, b.magnitudes_db)
+        assert back.timestamps.tolist() == times
+        assert np.array_equal(back.magnitudes_db, sweeps.magnitudes_db)
 
     def test_session_json_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -539,7 +553,7 @@ class TestSerialization:
             {"timestamp_s": 0.2, "frequencies_hz": [1.0, 2.0], "magnitudes_db": [0.0, 0.0]}
         ] * 2
         path.write_text(json.dumps(records))
-        assert [s.timestamp for s in session_from_json(path)] == [0.2, 0.2]
+        assert session_from_json(path).timestamps.tolist() == [0.2, 0.2]
 
     def test_columnar_round_trip_bit_exact(self, tmp_path):
         block = noisy_session()
@@ -597,19 +611,20 @@ class TestSerialization:
         from pitkit.decode import PROFILE_PRESETS, decode_stream
 
         block = noisy_session()
+        times = block.timestamps.tolist()
         inline = [
             {
-                "timestamp_s": s.timestamp,
-                "frequencies_hz": s.frequencies.tolist(),
-                "magnitudes_db": s.magnitudes_db.tolist(),
+                "timestamp_s": t,
+                "frequencies_hz": block.frequencies.tolist(),
+                "magnitudes_db": m,
             }
-            for s in block
+            for t, m in zip(times, block.magnitudes_db.tolist())
         ]
         (tmp_path / "csv").mkdir()
         files = []
-        for i, s in enumerate(block):
-            sweep_to_csv(s, tmp_path / "csv" / f"{i}.csv")
-            files.append({"timestamp_s": s.timestamp, "sweep_file": f"csv/{i}.csv"})
+        for i, t in enumerate(times):
+            sweep_to_csv(block[i : i + 1], tmp_path / "csv" / f"{i}.csv")
+            files.append({"timestamp_s": t, "sweep_file": f"csv/{i}.csv"})
         press = PROFILE_PRESETS["press"]
         expected = decode_stream(block, press)
         assert [e.event for e in expected] == ["press-down", "press-up"]
@@ -753,18 +768,19 @@ class TestSynthesizeBlock:
         block = synthesize_block(cfg, pairs, bridge, disturb, times)
         assert block.magnitudes_db.shape == (len(pairs), cfg.point_count)
         assert list(block.timestamps) == times
-        for row, pair, t in zip(block, pairs, times):
-            assert np.array_equal(row.magnitudes_db, reference_sweep(cfg, pair, bridge, disturb, t))
+        for row, pair, t in zip(block.magnitudes_db, pairs, times):
+            assert np.array_equal(row, reference_sweep(cfg, pair, bridge, disturb, t))
             one = synthesize_sweep(cfg, pair, bridge, disturb, t)
-            assert np.array_equal(row.magnitudes_db, one.magnitudes_db)
-            assert row.timestamp == t and type(row.timestamp) is float
-            assert row.frequencies is block.frequencies
+            assert np.array_equal(one.magnitudes_db, row[None, :])
+            assert one.timestamps.tolist() == [t]
+            assert one.frequencies is block.frequencies
 
     def test_rows_are_read_only_views(self):
         block = synthesize_block(
             SweepConfig(), [default_pair()] * 3, defaults.bridge_config(), QUIET, [0.0, 0.2, 0.4]
         )
-        for row in block:
+        for i in range(3):
+            row = block[i : i + 1]
             assert not row.magnitudes_db.flags.writeable
             assert np.shares_memory(row.magnitudes_db, block.magnitudes_db)
 
@@ -789,12 +805,12 @@ class TestSynthesizeBlock:
         )
         assert len(sweeps) == 25
         labels = ["idle"] * 3 + ["left-2mm"] * 8 + ["idle"] * 4 + ["right-2mm"] * 10
-        for i, (sweep, label) in enumerate(zip(sweeps, labels)):
+        for i, (row, label) in enumerate(zip(sweeps.magnitudes_db, labels)):
             capacitance = capacitance_for_resonance(inductance, profile.frequency_of(label))
             pair = CoupledPair(reader, CoilParams(inductance, resistance, capacitance), 1e-3)
             expected = reference_sweep(cfg, pair, bridge, DisturbanceModel(), i / 5.0)
-            assert np.array_equal(sweep.magnitudes_db, expected)
-            assert sweep.timestamp == i / 5.0
+            assert np.array_equal(row, expected)
+        assert sweeps.timestamps.tolist() == [i / 5.0 for i in range(25)]
 
 
     @pytest.mark.parametrize("step", [60e3, 30e3, 7.5e3], ids=["51pt", "101pt", "401pt"])
@@ -885,7 +901,7 @@ class TestSweepBlockValidation:
     def test_accepts_equal_timestamps_and_no_rows(self):
         assert len(self.block(timestamps=(0.2, 0.2))) == 2
         empty = self.block(timestamps=())
-        assert len(empty) == 0 and list(empty) == []
+        assert len(empty) == 0 and empty.magnitudes_db.shape == (0, 51)
 
     def test_arrays_are_read_only(self):
         block = self.block()
@@ -899,17 +915,16 @@ class TestSweepBlockIndexing:
     def block(self):
         return SweepBlock(GRID, np.arange(5 * 51, dtype=float).reshape(5, 51), [0.0, 0.2, 0.2, 0.6, 0.8])
 
-    def test_int_index_is_read_only_row_view(self):
+    def test_int_index_raises_type_error(self):
+        """A block has no row type: one row is the slice ``[i : i + 1]``,
+        and iterating a block, which indexes it by ints, fails too."""
         block = self.block()
         for i in (0, 3, -1, np.int64(2)):
-            row = block[i]
-            assert type(row) is Sweep
-            assert row.frequencies is block.frequencies
-            assert np.shares_memory(row.magnitudes_db, block.magnitudes_db)
-            assert np.array_equal(row.magnitudes_db, block.magnitudes_db[i])
-            assert row.timestamp == block.timestamps[i] and type(row.timestamp) is float
-            assert not row.magnitudes_db.flags.writeable
-        assert block[-1].timestamp == 0.8
+            with pytest.raises(TypeError, match="slices"):
+                block[i]
+        with pytest.raises(TypeError, match="slices"):
+            list(block)
+        assert block[-1:].timestamps.tolist() == [0.8]
 
     def test_slice_is_read_only_block_view(self):
         block = self.block()
@@ -924,19 +939,15 @@ class TestSweepBlockIndexing:
                 assert np.shares_memory(array, block.magnitudes_db) or np.shares_memory(
                     array, block.timestamps
                 ) or array.size == 0
-        assert [s.timestamp for s in block[1:4]] == [0.2, 0.2, 0.6]
+        assert block[1:4].timestamps.tolist() == [0.2, 0.2, 0.6]
 
     def test_views_are_not_validated_again(self, monkeypatch):
-        from pitkit import trace
-
         block = self.block()
-        monkeypatch.setattr(trace, "_checked", None)
-        assert len(block[1:3]) == 2 and block[4].timestamp == 0.8 and len(list(block)) == 5
+        monkeypatch.setattr(SweepBlock, "__post_init__", None)
+        assert len(block[1:3]) == 2 and block[4:].timestamps.tolist() == [0.8]
 
     def test_bad_indices(self):
         block = self.block()
-        with pytest.raises(IndexError):
-            block[5]
         with pytest.raises(TypeError):
             block[1.0]
         with pytest.raises(ValueError, match="step"):
