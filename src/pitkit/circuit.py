@@ -29,6 +29,10 @@ class CoilParams:
     capacitance: float
 
     def __post_init__(self) -> None:
+        # NaN fails every comparison below, so it would pass them all
+        for name in ("inductance", "resistance", "capacitance"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.inductance <= 0:
             raise ValueError(f"inductance must be > 0, got {self.inductance}")
         if self.resistance < 0:
@@ -75,10 +79,10 @@ def resonant_frequency(coil: CoilParams) -> float:
 
 def capacitance_for_resonance(inductance: float, frequency: float) -> float:
     """Tuning capacitance that puts a coil of given L at the given f0."""
-    if inductance <= 0:
-        raise ValueError(f"inductance must be > 0, got {inductance}")
-    if frequency <= 0:
-        raise ValueError(f"frequency must be > 0, got {frequency}")
+    if not (math.isfinite(inductance) and inductance > 0):
+        raise ValueError(f"inductance must be finite and > 0, got {inductance}")
+    if not (math.isfinite(frequency) and frequency > 0):
+        raise ValueError(f"frequency must be finite and > 0, got {frequency}")
     return 1.0 / ((TWO_PI * frequency) ** 2 * inductance)
 
 

@@ -324,20 +324,14 @@ def detect_stream(block: SweepBlock, cfg: DetectorConfig = DetectorConfig()):
         yield chunk, detect_block(chunk.frequencies, chunk.magnitudes_db, cfg)
 
 
-def compute_snr(with_block: SweepBlock, without_block: SweepBlock, at_frequency: float) -> float:
-    """(mean with-sensor - mean without-sensor) / std without-sensor,
-    evaluated on the dB magnitudes at the grid point nearest
-    ``at_frequency``.  Standard deviation is the population form.
-
-    Each set is a ``SweepBlock``; the grid of the with-sensor set locates
-    the point."""
-    if len(with_block) < 2 or len(without_block) < 2:
+def compute_snr(with_values: np.ndarray, without_values: np.ndarray) -> float:
+    """(mean with-sensor - mean without-sensor) / std without-sensor of
+    the dB magnitudes at one grid point, one value per trace in each
+    1-D column.  Standard deviation is the population form."""
+    if len(with_values) < 2 or len(without_values) < 2:
         raise ValueError("need at least 2 traces in each set")
-    idx = int(np.argmin(np.abs(with_block.frequencies - at_frequency)))
-    vals_with = with_block.magnitudes_db[:, idx]
-    vals_without = without_block.magnitudes_db[:, idx]
-    std = float(vals_without.std())
+    std = float(without_values.std())
     if std == 0.0:
-        diff = float(vals_with.mean() - vals_without.mean())
+        diff = float(with_values.mean() - without_values.mean())
         return math.inf if diff > 0 else (-math.inf if diff < 0 else 0.0)
-    return float((vals_with.mean() - vals_without.mean()) / std)
+    return float((with_values.mean() - without_values.mean()) / std)

@@ -59,6 +59,24 @@ class ExperimentSpec:
             )
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        # trial seeds are seed + trial, and SweepConfig takes [0, 2**32)
+        if not 0 <= self.seed <= 2**32 - self.trials:
+            raise ValueError(f"seed must be in [0, 2**32 - trials], got {self.seed!r}")
+
+
+def _noise_free_levels(
+    pair: CoupledPair, bridge: BridgeConfig, cfg: SweepConfig, disturb: DisturbanceModel
+) -> SweepBlock:
+    """Noise-free 2-row block at t = 0: row 0 with the sensor coupled,
+    row 1 at coupling 0, both under the metal baseline and resonator
+    shift of ``disturb``."""
+    quiet = DisturbanceModel(
+        noise_sigma=0.0,
+        metal_baseline=disturb.metal_baseline,
+        nearby_resonator_shift=disturb.nearby_resonator_shift,
+    )
+    pair_off = CoupledPair(pair.reader, pair.sensor, 0.0)
+    return synthesize_block(cfg, [pair, pair_off], bridge, quiet, [0.0, 0.0])
 
 
 def noiseless_peak(
@@ -68,13 +86,7 @@ def noiseless_peak(
     disturb: DisturbanceModel = DisturbanceModel(noise_sigma=0.0),
 ) -> tuple[float, float]:
     """(frequency, height) of the noise-free with/without trace difference."""
-    quiet = DisturbanceModel(
-        noise_sigma=0.0,
-        metal_baseline=disturb.metal_baseline,
-        nearby_resonator_shift=disturb.nearby_resonator_shift,
-    )
-    pair_off = CoupledPair(pair.reader, pair.sensor, 0.0)
-    block = synthesize_block(cfg, [pair, pair_off], bridge, quiet, [0.0, 0.0])
+    block = _noise_free_levels(pair, bridge, cfg, disturb)
     diff = block.magnitudes_db[0] - block.magnitudes_db[1]
     i = int(np.argmax(diff))
     return float(block.frequencies[i]), float(diff[i])
@@ -88,29 +100,26 @@ def measure_snr(
     noise: tuple[np.ndarray, np.ndarray],
 ) -> float:
     """Empirical SNR from ``SNR_TRACE_COUNT`` with-sensor and
-    without-sensor sweeps, evaluated at the noise-free peak location.
+    without-sensor sweeps, evaluated at the grid point of the noise-free
+    peak.
 
     ``noise`` is ``snr_noise(cfg)``: the standard-normal rows of the
     with-sensor sweeps (timestamps ``0 .. n-1`` frames) and of the
-    without-sensor sweeps (``n .. 2n-1``).  Each set is one noise-free
-    block plus ``disturb.noise_sigma`` times its rows, bit for bit what
-    ``synthesize_block`` with ``disturb`` gives; the rows depend only on
-    the seed and grid of ``cfg``, so the points of a study share them."""
-    at_frequency, _ = noiseless_peak(pair, bridge, cfg, disturb)
-    n = SNR_TRACE_COUNT
-    times = [i / cfg.acquisition_rate for i in range(2 * n)]
-    quiet = replace(disturb, noise_sigma=0.0)
-
-    def traces(set_pair: CoupledPair, set_times: list, rows: np.ndarray) -> SweepBlock:
-        block = synthesize_block(cfg, [set_pair] * n, bridge, quiet, set_times)
-        magnitudes = disturb.noise_sigma * rows
-        magnitudes += block.magnitudes_db
-        return SweepBlock(block.frequencies, magnitudes, set_times)
-
-    pair_off = CoupledPair(pair.reader, pair.sensor, 0.0)
-    return compute_snr(
-        traces(pair, times[:n], noise[0]), traces(pair_off, times[n:], noise[1]), at_frequency
+    without-sensor sweeps (``n .. 2n-1``); the rows depend only on the
+    seed and grid of ``cfg``, so the points of a study share them.  Only
+    the peak's column of each set is formed: the noise-free level plus
+    ``disturb.noise_sigma`` times the column of the rows, bit for bit that
+    column of what ``synthesize_block`` with ``disturb`` gives.  Without
+    drift every row of a set has the same noise-free level, so a
+    disturbance with amplitude or frequency drift raises ``ValueError``."""
+    if disturb.amplitude_drift > 0.0 or disturb.frequency_drift > 0.0:
+        raise ValueError("measure_snr takes a disturbance without amplitude or frequency drift")
+    levels = _noise_free_levels(pair, bridge, cfg, disturb).magnitudes_db
+    idx = int(np.argmax(levels[0] - levels[1]))
+    with_values, without_values = (
+        disturb.noise_sigma * rows[:, idx] + level[idx] for rows, level in zip(noise, levels)
     )
+    return compute_snr(with_values, without_values)
 
 
 def snr_noise(cfg: SweepConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -358,8 +367,11 @@ class SnrStudy:
     ``points(reader)`` yields one (key values, pair, sweep grid,
     disturbance) per row.  A row of the result is its key values under
     ``key_columns``, the SNR mean and population std over the trials,
-    then ``extra(pair, bridge, grid, disturb, trials, seed)`` under
-    ``extra_columns``.  ``summarize(rows)`` gives the summary."""
+    then under ``extra_columns`` the mean over all trials' frames of
+    ``extra(pair, bridge, cfg, disturb, rows)``: one trial's per-frame
+    flags, one column each, on the trial's grid ``cfg`` and its
+    with-sensor noise rows ``rows``.  ``summarize(rows)`` gives the
+    summary."""
 
     key_columns: tuple[str, ...]
     points: Callable[[CoilParams], Iterator[tuple]]
@@ -375,11 +387,13 @@ def run_snr_study(study: SnrStudy, trials: int, seed: int):
 
     Trials run outermost.  Within a trial every point on one grid is
     measured on the same noise rows (common random numbers), drawn once
-    by ``snr_noise``; only one trial's rows are alive at a time."""
+    by ``snr_noise``, and the study's ``extra`` flags read them too;
+    only one trial's rows are alive at a time."""
     reader = defaults.reader_coil()
     bridge = defaults.bridge_config()
     points = list(study.points(reader))
     snrs = np.empty((len(points), trials))
+    flags: list[list[np.ndarray]] = [[] for _ in points]
     for trial in range(trials):
         noise_of: dict = {}
         for i, (_, pair, grid, disturb) in enumerate(points):
@@ -387,11 +401,14 @@ def run_snr_study(study: SnrStudy, trials: int, seed: int):
             if cfg not in noise_of:
                 noise_of[cfg] = snr_noise(cfg)
             snrs[i, trial] = measure_snr(pair, bridge, cfg, disturb, noise_of[cfg])
+            if study.extra is not None:
+                flags[i].append(study.extra(pair, bridge, cfg, disturb, noise_of[cfg][0]))
     rows = []
-    for (key, pair, grid, disturb), point_snrs in zip(points, snrs):
+    for (key, *_), point_snrs, point_flags in zip(points, snrs, flags):
         row = [*key, float(point_snrs.mean()), float(point_snrs.std())]
-        if study.extra is not None:
-            row += study.extra(pair, bridge, grid, disturb, trials, seed)
+        if point_flags:
+            # a mean of 0/1 flags sums exactly, so it is count / frames
+            row += np.concatenate(point_flags).mean(axis=0).tolist()
         rows.append(row)
     header = [*study.key_columns, "snr_mean", "snr_std", *study.extra_columns]
     return header, rows, study.summarize(rows)
@@ -467,29 +484,25 @@ def _metal_points(reader: CoilParams) -> Iterator[tuple]:
         yield (name,), pair, DEFAULT_GRID, disturb
 
 
-def _metal_frame_rates(pair, bridge, grid, disturb, trials: int, seed: int) -> list:
-    """[detection rate, foreign-resonator rate] over ``METAL_FRAMES``
-    detected frames per trial.  A frame counts as a detection when it has
-    a peak within two grid steps of the noise-free peak."""
-    det = DetectorConfig()
-    peak_f, _ = noiseless_peak(pair, bridge, replace(grid, seed=seed), disturb)
-    detections = 0
-    foreign_flags = 0
-    for trial in range(trials):
-        cfg = replace(grid, seed=seed + trial)
-        frames = synthesize_block(
-            cfg,
-            [pair] * METAL_FRAMES,
-            bridge,
-            disturb,
-            [i / cfg.acquisition_rate for i in range(METAL_FRAMES)],
-        )
-        found = detect_block(frames.frequencies, frames.magnitudes_db, det)
-        near = np.abs(found.frequency - peak_f) <= 2 * cfg.step
-        detections += len(np.unique(found.row[near]))
-        foreign_flags += int(foreign_block(found, PRESS_PROFILE).sum())
-    n_frames = trials * METAL_FRAMES
-    return [detections / n_frames, foreign_flags / n_frames]
+def _metal_frame_flags(pair, bridge, cfg, disturb, rows: np.ndarray) -> np.ndarray:
+    """(detected, foreign resonator) flags of the ``METAL_FRAMES`` frames
+    of one trial.  A frame counts as a detection when it has a peak
+    within two grid steps of the noise-free peak.
+
+    The frames are at timestamps ``0 .. METAL_FRAMES - 1`` frames, the
+    first of ``measure_snr``'s with-sensor sweeps, so they are the
+    noise-free level plus ``disturb.noise_sigma`` times the first of the
+    trial's with-sensor noise ``rows``: bit for bit the block that
+    ``synthesize_block`` with ``disturb`` gives, without drawing the
+    noise again."""
+    peak_f, _ = noiseless_peak(pair, bridge, cfg, disturb)
+    quiet = replace(disturb, noise_sigma=0.0)
+    level = synthesize_block(cfg, [pair], bridge, quiet, [0.0])
+    frames = disturb.noise_sigma * rows[:METAL_FRAMES] + level.magnitudes_db
+    found = detect_block(level.frequencies, frames, DetectorConfig())
+    detected = np.zeros(METAL_FRAMES, dtype=bool)
+    detected[found.row[np.abs(found.frequency - peak_f) <= 2 * cfg.step]] = True
+    return np.column_stack([detected, foreign_block(found, PRESS_PROFILE)])
 
 
 def _metal_summary(rows: list) -> dict:
@@ -521,7 +534,7 @@ SNR_STUDIES = {
         _metal_points,
         _metal_summary,
         extra_columns=("detection_rate", "foreign_resonator_rate"),
-        extra=_metal_frame_rates,
+        extra=_metal_frame_flags,
     ),
 }
 

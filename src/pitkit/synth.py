@@ -65,6 +65,9 @@ class SweepConfig:
             raise ValueError("(stop - start) / step must be finite and integral")
         if self.acquisition_rate <= 0:
             raise ValueError("acquisition_rate must be > 0")
+        # the noise streams take the seed as one uint32 word
+        if not 0 <= self.seed <= _MASK32:
+            raise ValueError(f"seed must be in [0, 2**32), got {self.seed!r}")
 
     @property
     def point_count(self) -> int:

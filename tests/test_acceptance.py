@@ -36,7 +36,6 @@ from pitkit.synth import (
     sweep_to_csv,
     synthesize_sweep,
 )
-from pitkit.trace import SweepBlock
 
 GRID = SweepConfig().frequencies()
 QUIET = DisturbanceModel(noise_sigma=0.0)
@@ -162,15 +161,13 @@ def test_criterion_4_detection_and_false_positive_rates():
 def test_criterion_5_snr_definition_fixture():
     """SNR statistic on hand-built traces: a 0.02 dB mean gap over a
     0.002 dB population standard deviation is exactly SNR 10."""
-    with_sensor = SweepBlock(GRID, np.full((2, GRID.size), -54.98), (0.0, 0.0))
-    without = SweepBlock(
-        GRID, [np.full(GRID.size, -55.002), np.full(GRID.size, -54.998)], (0.0, 0.0)
-    )
-    snr = compute_snr(with_sensor, without, 28.5e6)
+    with_sensor = np.full(2, -54.98)
+    without = np.array([-55.002, -54.998])
+    snr = compute_snr(with_sensor, without)
     print(f"criterion 5: fixture SNR {snr:.6f} (expected 10 exactly)")
     assert snr == pytest.approx(10.0, abs=1e-9)
     with pytest.raises(ValueError):
-        compute_snr(with_sensor[:1], without, 28.5e6)
+        compute_snr(with_sensor[:1], without)
 
 
 def test_criterion_6_snr_vs_turns_trend():

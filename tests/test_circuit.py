@@ -151,6 +151,21 @@ class TestValidation:
         with pytest.raises(ValueError):
             CoilParams(inductance=1e-6, resistance=1.0, capacitance=0.0)
 
+    @pytest.mark.parametrize("field", ["inductance", "resistance", "capacitance"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_field(self, field, value):
+        """NaN passes every sign check, so it is rejected by name first."""
+        params = {"inductance": 1e-6, "resistance": 1.0, "capacitance": 1e-12, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            CoilParams(**params)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
+    def test_capacitance_for_resonance_rejects_bad_frequency(self, value):
+        with pytest.raises(ValueError, match="frequency must be finite and > 0"):
+            capacitance_for_resonance(1e-6, value)
+        with pytest.raises(ValueError, match="inductance must be finite and > 0"):
+            capacitance_for_resonance(value, 29e6)
+
     def test_rejects_coupling_out_of_range(self):
         reader = make_coil(3.7e-6, 55.0, 27.0e6)
         sensor = make_coil(1.8e-6, 2.6, 29.0e6)

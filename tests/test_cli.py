@@ -228,6 +228,25 @@ class TestSynthDetect:
         code, _, err = run(capsys, "synth", "--output", str(tmp_path / "x.csv"))
         assert code == 1 and "error" in err
 
+    @pytest.mark.parametrize("seed", ["4294967296", "-1"])
+    def test_synth_rejects_seed_outside_32_bits(self, capsys, tmp_path, seed):
+        """2**32 used to write the sweep of seed 0, and -1 that of 2**32 - 1."""
+        out_path = tmp_path / "sweep.csv"
+        code, _, err = run(capsys, "synth", "--output", str(out_path), "--seed", seed)
+        assert code == 1
+        assert err == f"error: seed must be in [0, 2**32), got {seed}\n"
+        assert not out_path.exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_synth_rejects_nan_resonance_frequency(self, capsys, tmp_path):
+        """Rejected where the capacitance is sized, before any numpy
+        arithmetic can warn."""
+        out_path = tmp_path / "sweep.csv"
+        code, _, err = run(capsys, "synth", "--output", str(out_path), "--f0", "nan")
+        assert code == 1
+        assert err == "error: frequency must be finite and > 0, got nan\n"
+        assert not out_path.exists()
+
     def test_synth_rejects_non_finite_noise_sigma(self, capsys, tmp_path):
         """A NaN noise sigma would fail ``> 0`` and write a noiseless sweep."""
         out_path = tmp_path / "a.csv"
@@ -492,6 +511,18 @@ class TestEvaluate:
         assert summary["summary"]["monotone_3_to_7"] is True
         assert out_path.exists()
         assert (tmp_path / "turns.csv.summary.json").exists()
+
+    def test_rejects_trial_seed_outside_32_bits(self, capsys, tmp_path):
+        """Trial seeds are seed + trial, so the last of 2 trials at
+        2**32 - 1 would leave the 32-bit seed range."""
+        out_path = tmp_path / "angle.csv"
+        code, _, err = run(
+            capsys, "evaluate", "--experiment", "snr-vs-angle", "--trials", "2",
+            "--seed", str(2**32 - 1), "--output", str(out_path),
+        )
+        assert code == 1
+        assert err == "error: seed must be in [0, 2**32 - trials], got 4294967295\n"
+        assert not out_path.exists()
 
     def test_unknown_experiment_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

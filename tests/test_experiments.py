@@ -32,7 +32,6 @@ from pitkit.synth import (
     synthesize_block,
     synthesize_sweep,
 )
-from pitkit.trace import SweepBlock
 
 
 def default_pair(coupling=defaults.K_REFERENCE, turns=8):
@@ -47,6 +46,12 @@ class TestExperimentSpec:
     def test_trials_must_be_positive(self):
         with pytest.raises(ValueError):
             ExperimentSpec("snr-vs-turns", trials=0)
+
+    @pytest.mark.parametrize("seed, trials", [(-1, 1), (2**32, 1), (2**32 - 2, 3)])
+    def test_every_trial_seed_must_fit_32_bits(self, seed, trials):
+        with pytest.raises(ValueError, match="seed must be in"):
+            ExperimentSpec("snr-vs-turns", trials=trials, seed=seed)
+        ExperimentSpec("snr-vs-turns", trials=trials, seed=2**32 - trials)
 
 
 class TestMeasureSnr:
@@ -74,25 +79,53 @@ class TestMeasureSnr:
         DisturbanceModel(noise_sigma=defaults.NOISE_SIGMA_DB),
         METAL_PRESETS["microwave-oven"],
         DisturbanceModel(noise_sigma=0.003, frequency_drift=2e3, amplitude_drift=0.01),
-    ], ids=["stock", "metal", "drift"])
+        DisturbanceModel(noise_sigma=0.003, amplitude_drift=0.01),
+        DisturbanceModel(noise_sigma=0.003, frequency_drift=2e3),
+    ], ids=["stock", "metal", "drift", "amplitude-drift", "frequency-drift"])
     def test_equals_per_frame_reference(self, disturb):
-        """Block synthesis gives the SNR of 2 x 100 sweeps synthesized and
-        evaluated one at a time."""
+        """The SNR of 2 x 100 sweeps synthesized one at a time and read at
+        the grid point nearest the noise-free peak, bit for bit.  Under
+        drift the rows of a set differ in level, so it is rejected."""
         pair = default_pair(7e-4)
         bridge = defaults.bridge_config()
         cfg = SweepConfig(seed=5)
+        if disturb.amplitude_drift > 0.0 or disturb.frequency_drift > 0.0:
+            with pytest.raises(ValueError, match="drift"):
+                measure_snr(pair, bridge, cfg, disturb, snr_noise(cfg))
+            return
         at_frequency, _ = noiseless_peak(pair, bridge, cfg, disturb)
+        idx = int(np.argmin(np.abs(cfg.frequencies() - at_frequency)))
         off = CoupledPair(pair.reader, pair.sensor, 0.0)
         times = [i / 5.0 for i in range(200)]
 
         def one_at_a_time(set_pair, set_times):
-            rows = [synthesize_sweep(cfg, set_pair, bridge, disturb, t) for t in set_times]
-            return SweepBlock(rows[0].frequencies, [r.magnitudes_db[0] for r in rows], set_times)
+            return np.array([
+                synthesize_sweep(cfg, set_pair, bridge, disturb, t).magnitudes_db[0, idx]
+                for t in set_times
+            ])
 
-        expected = compute_snr(
-            one_at_a_time(pair, times[:100]), one_at_a_time(off, times[100:]), at_frequency
-        )
+        expected = compute_snr(one_at_a_time(pair, times[:100]), one_at_a_time(off, times[100:]))
         assert measure_snr(pair, bridge, cfg, disturb, snr_noise(cfg)) == expected
+
+    def test_reads_only_the_noise_free_peak_column(self):
+        """Noise rows of +-1 at the noise-free peak's grid point and 1e6
+        everywhere else give exactly the peak height over sigma: no other
+        column is read."""
+        pair = default_pair()
+        bridge = defaults.bridge_config()
+        cfg = SweepConfig(seed=0)
+        at_frequency, height = noiseless_peak(pair, bridge, cfg)
+        idx = int(np.argmin(np.abs(cfg.frequencies() - at_frequency)))
+        n = experiments.SNR_TRACE_COUNT
+        with_rows = np.full((n, cfg.point_count), 1e6)
+        without_rows = with_rows.copy()
+        with_rows[:, idx] = 0.0
+        without_rows[:, idx] = np.resize([1.0, -1.0], n)
+        sigma = 0.002
+        snr = measure_snr(
+            pair, bridge, cfg, DisturbanceModel(noise_sigma=sigma), (with_rows, without_rows)
+        )
+        assert snr == pytest.approx(height / sigma, rel=1e-9)
 
     def test_snr_increases_with_coupling(self):
         bridge = defaults.bridge_config()
@@ -438,6 +471,40 @@ class TestSnrVsMetal:
                     foreign += bool(foreign_block(detection, PRESS_PROFILE)[0])
             assert detection_rate == detections / (trials * n_frames)
             assert foreign_rate == foreign / (trials * n_frames)
+
+
+    @pytest.mark.parametrize("seed", [0, 9])
+    def test_shared_noise_equals_per_preset_blocks(self, seed):
+        """Each preset's frames are built from the trial's shared noise
+        rows; the rows equal a reference that synthesizes each preset's
+        20 frames as its own noisy block."""
+        trials, n_frames = 2, 20
+        _, rows, _ = run_snr_study(SNR_STUDIES["snr-vs-metal"], trials, seed)
+        pair = default_pair()
+        bridge = defaults.bridge_config()
+        expected = []
+        for preset, disturb in METAL_PRESETS.items():
+            peak_f, _ = noiseless_peak(pair, bridge, SweepConfig(seed=seed), disturb)
+            snrs = []
+            detections = foreign = 0
+            for trial in range(trials):
+                cfg = SweepConfig(seed=seed + trial)
+                snrs.append(measure_snr(pair, bridge, cfg, disturb, snr_noise(cfg)))
+                frames = synthesize_block(
+                    cfg, [pair] * n_frames, bridge, disturb, [i / 5.0 for i in range(n_frames)]
+                )
+                found = detect_block(frames.frequencies, frames.magnitudes_db)
+                near = np.abs(found.frequency - peak_f) <= 2 * cfg.step
+                detections += len(np.unique(found.row[near]))
+                foreign += int(foreign_block(found, PRESS_PROFILE).sum())
+            expected.append([
+                preset,
+                float(np.mean(snrs)),
+                float(np.std(snrs)),
+                detections / (trials * n_frames),
+                foreign / (trials * n_frames),
+            ])
+        assert rows == expected
 
 
 class TestRunExperiment:
