@@ -356,8 +356,18 @@ def decode_stream(
 
     Detection runs on row views of the ``SweepBlock`` (see
     ``detect_stream``), each chunk is classified as a whole, and the
-    debouncer walks runs of equal codes.
+    debouncer walks runs of equal codes.  Raises ``ValueError`` when a
+    state's frequency lies outside the block's grid, where no frame
+    could ever observe it.
     """
+    f = block.frequencies
+    for s in profile.states:
+        # an empty grid is the detector's error
+        if len(f) and not f[0] <= s.frequency <= f[-1]:
+            raise ValueError(
+                f"profile {profile.name!r} state {s.label!r} at {s.frequency / 1e6:g} MHz "
+                f"lies outside the sweep grid span {f[0] / 1e6:g}-{f[-1] / 1e6:g} MHz"
+            )
     codes, snrs, times = [], [], []
     for chunk, detection in detect_stream(block, det):
         chunk_codes, chunk_snrs = classify_block(detection, profile)

@@ -131,28 +131,16 @@ def snr_noise(cfg: SweepConfig) -> tuple[np.ndarray, np.ndarray]:
     return noise_rows(cfg.seed, times[:n], points), noise_rows(cfg.seed, times[n:], points)
 
 
-# Coupling range of the calibration and the steps of the geometric
-# bisection whose result it returns.
+# Coupling range of the calibration.
 K_RANGE = (1e-6, 0.05)
-BISECT_STEPS = 40
-# The secant phase stops once two evaluated couplings bracket the
-# crossing within this relative width.  Step s of the bisection narrows
-# K_RANGE to ln(5e4) / 2**s in log k, so only about its last seven
-# midpoints fall inside a 1e-9 bracket and need evaluating.
+# Each search stops once its bracket is this narrow, relative.  The
+# height grows about as k**2, so at SNR 16 the bracket spans some 6e-11
+# dB of height, 3e-8 of the noise sigma: interpolating inside it would
+# buy nothing.
 BRACKET_WIDTH = 1e-9
-# An evaluated height decides the side of a coupling the walk does not
-# evaluate only when it clears the target by this fraction of it:
-# 2e-12 dB at SNR 10 and sigma 0.002 dB, over 35x the 5.5e-14 dB by
-# which two baseline fits of one sweep that are exact to rounding
-# disagree, so rounding cannot make such a decision differ from
-# evaluating the midpoint.
-CLEARANCE = 1e-10
-# Levels of the walk's bisection tree that one replay block holds; of
-# those, only the midpoints that monotonicity leaves open are evaluated.
-REPLAY_LEVELS = 3
-# A bound on secant blocks per search, so a height the secant cannot
-# bracket still ends; the replay is exact whatever bracket it leaves.
-# Regula falsi took 2 to 7 blocks in 284 searches of 144 calibrations.
+# A bound on probe blocks per search, so a height the secant cannot
+# narrow still ends, with a wider bracket.  Searches took 1 to 7 blocks
+# in 432 calibrations.
 SECANT_BLOCKS = 40
 
 
@@ -173,31 +161,26 @@ def calibrate_coupling(
     sessions calibrated to 16, 18 and 20 carry a median detector SNR of
     about 12.5, 14.0 and 15.5, some 22% below the label.
 
-    Two searches on the noise-free residual height, which rises with k
-    around the crossing: one for the target, then one with the target
-    raised by the measured noisy-fit deficit -- under noise the clipped
-    baseline sits slightly higher near the peak than in the noise-free
-    fit.  Each returns, bit for bit, what a ``BISECT_STEPS``-step
-    geometric bisection of ``K_RANGE`` returns, in two phases over one
-    memo of noise-free residual rows by coupling:
+    Two searches on the noise-free residual height: one for the target,
+    then one with the target raised by the measured noisy-fit deficit --
+    under noise the clipped baseline sits slightly higher near the peak
+    than in the noise-free fit.  Both read one memo of noise-free
+    residual rows by coupling, so no coupling is synthesized twice.
 
-    1. Bracket: regula falsi with the Illinois rule on log height
-       against log k (the height grows about as k**2) detects two
-       couplings around each estimate, until two evaluated couplings
-       bracket the crossing within ``BRACKET_WIDTH``, each clearing the
-       target by ``CLEARANCE``.
-    2. Replay: walk the bisection.  By monotonicity a midpoint below
-       the bracket falls short and one above it clears; the midpoints
-       inside it are evaluated, ``REPLAY_LEVELS`` levels of the walk's
-       tree per block.  If the evaluated heights ever contradict
-       monotonicity, the walk starts again and evaluates every midpoint
-       it visits.
+    Each search keeps a sign-change bracket: ``lo``, the highest
+    evaluated coupling whose height falls short of the target, and
+    ``hi``, the lowest evaluated one above ``lo`` that meets it.  Each
+    noise-free block detects two couplings 0.9 ``BRACKET_WIDTH`` apart
+    around the regula falsi estimate with the Illinois rule (log height
+    against log k; the height grows about as k**2), and the bracket
+    moves to the probes by their own heights, so it holds a crossing
+    even where the height is not monotone.  The search returns
+    ``sqrt(lo * hi)`` once ``hi / lo - 1 <= BRACKET_WIDTH``.
 
-    At seed 0 and target 16 (7-turn ring at 28 MHz) this takes 15
-    noise-free blocks of 46 couplings, where evaluating the walk's
-    midpoints two tree levels per block took 37 blocks of 110.  Raises
-    ``ValueError`` for a target or ``noise_sigma`` that is not finite
-    and positive, and for a target outside the reach of ``K_RANGE``."""
+    At seed 0 and target 16 (7-turn ring at 28 MHz) this takes 9
+    noise-free blocks of 17 couplings.  Raises ``ValueError`` for a
+    target or ``noise_sigma`` that is not finite and positive, and for
+    a target outside the reach of ``K_RANGE``."""
     if not (math.isfinite(target_snr) and target_snr > 0):
         raise ValueError("target_snr must be finite and > 0")
     if not (math.isfinite(noise_sigma) and noise_sigma > 0):
@@ -222,102 +205,45 @@ def calibrate_coupling(
             residuals.update(zip(ks, rows))
             heights.update(zip(ks, rows.max(axis=1).tolist()))
 
-    def bounds(target: float) -> Optional[tuple[float, float]]:
-        # The highest evaluated k that falls short of the target by the
-        # clearance and the lowest that clears it (0 and inf if none);
-        # None when a lower k clears where a higher one falls short.
-        a = max((k for k, h in heights.items() if h <= target * (1 - CLEARANCE)), default=0.0)
-        b = min((k for k, h in heights.items() if h >= target * (1 + CLEARANCE)), default=math.inf)
-        return (a, b) if a < b else None
-
-    def secant(target: float) -> None:
-        # Two probes 0.9 bracket widths apart around each estimate: once
-        # the estimate is that close, they bracket the crossing.
-        half = 0.45 * math.log1p(BRACKET_WIDTH)
-        weight_a = weight_b = 1.0
-        a_kept = b_kept = False
-        for _ in range(SECANT_BLOCKS):
-            ab = bounds(target)
-            if ab is None or ab[0] == 0.0 or ab[1] == math.inf:
-                return
-            a, b = ab
-            if b / a - 1 <= BRACKET_WIDTH:
-                return
-            xa, xb = math.log(a), math.log(b)
-            if heights[a] > 0.0:
-                fa = math.log(heights[a] / target) * weight_a
-                fb = math.log(heights[b] / target) * weight_b
-                x = (xa * fb - xb * fa) / (fb - fa)
-            else:
-                x = (xa + xb) / 2
-            quiet_residuals([k for k in (math.exp(x - half), math.exp(x + half)) if a < k < b])
-            ab = bounds(target)
-            if ab is None:
-                return
-            # Illinois: an end kept twice running counts half.
-            weight_a = 1.0 if ab[0] != a else weight_a / 2 if a_kept else weight_a
-            weight_b = 1.0 if ab[1] != b else weight_b / 2 if b_kept else weight_b
-            a_kept, b_kept = ab[0] == a, ab[1] == b
-
-    def below(k: float, target: float, ab: Optional[tuple[float, float]]) -> Optional[bool]:
-        # Whether the walk's midpoint k falls short of the target: its own
-        # height if evaluated, else monotonicity from the bounds ``ab``,
-        # else None.
-        if k in heights:
-            return heights[k] < target
-        if ab is not None and k <= ab[0]:
-            return True
-        if ab is not None and k >= ab[1]:
-            return False
-        return None
-
-    def open_tree(lo: float, hi: float, levels: int, target: float, ab) -> list[float]:
-        # The midpoints the walk's next ``levels`` steps can reach and
-        # ``below`` leaves open.
-        if not levels:
-            return []
-        mid = math.sqrt(lo * hi)
-        side = below(mid, target, ab)
-        if side is None:
-            return [
-                mid,
-                *open_tree(lo, mid, levels - 1, target, ab),
-                *open_tree(mid, hi, levels - 1, target, ab),
-            ]
-        return open_tree(*((mid, hi) if side else (lo, mid)), levels - 1, target, ab)
-
-    def walk(target: float, ab: Optional[tuple[float, float]]) -> Optional[float]:
-        # The bisection's result with midpoints decided by ``below``; None
-        # once an evaluation contradicts the monotonicity that may have
-        # decided earlier steps.
-        lo, hi = K_RANGE
-        for step in range(BISECT_STEPS):
-            mid = math.sqrt(lo * hi)
-            side = below(mid, target, ab)
-            if side is None:
-                levels = min(REPLAY_LEVELS, BISECT_STEPS - step)
-                quiet_residuals(open_tree(lo, hi, levels, target, ab))
-                if ab is not None:
-                    ab = bounds(target)
-                    if ab is None:
-                        return None
-                side = heights[mid] < target
-            lo, hi = (mid, hi) if side else (lo, mid)
-        return math.sqrt(lo * hi)
-
     def search(target: float) -> float:
-        lo, hi = K_RANGE
-        quiet_residuals([lo, hi])
-        if heights[hi] < target:
+        quiet_residuals(list(K_RANGE))
+        if heights[K_RANGE[1]] < target:
             raise ValueError("target SNR unreachable within coupling bounds")
-        if heights[lo] >= target:
+        if heights[K_RANGE[0]] >= target:
             raise ValueError(
                 "target SNR unreachable within coupling bounds: already met at the lower bound"
             )
-        secant(target)
-        k = walk(target, bounds(target))
-        # Without monotonicity the walk evaluates every midpoint it visits.
-        return k if k is not None else walk(target, None)
+        lo = max(k for k, h in heights.items() if h < target)
+        hi = min(k for k, h in heights.items() if k > lo and h >= target)
+        # Two probes 0.9 bracket widths apart around each estimate: once
+        # the estimate is that close, they bracket the crossing.
+        half = 0.45 * math.log1p(BRACKET_WIDTH)
+        weight_lo = weight_hi = 1.0
+        lo_kept = hi_kept = False
+        for _ in range(SECANT_BLOCKS):
+            if hi / lo - 1 <= BRACKET_WIDTH:
+                break
+            x_lo, x_hi = math.log(lo), math.log(hi)
+            if heights[lo] > 0.0:
+                f_lo = math.log(heights[lo] / target) * weight_lo
+                f_hi = math.log(heights[hi] / target) * weight_hi
+                x = (x_lo * f_hi - x_hi * f_lo) / (f_hi - f_lo)
+            else:
+                x = (x_lo + x_hi) / 2
+            probes = [k for k in (math.exp(x - half), math.exp(x + half)) if lo < k < hi]
+            quiet_residuals(probes)
+            new_lo, new_hi = lo, hi
+            for k in probes:
+                if heights[k] >= target:
+                    new_hi = k
+                    break
+                new_lo = k
+            # Illinois: an end kept twice running counts half.
+            weight_lo = 1.0 if new_lo != lo else weight_lo / 2 if lo_kept else weight_lo
+            weight_hi = 1.0 if new_hi != hi else weight_hi / 2 if hi_kept else weight_hi
+            lo_kept, hi_kept = new_lo == lo, new_hi == hi
+            lo, hi = new_lo, new_hi
+        return math.sqrt(lo * hi)
 
     k0 = search(target_height)
     # Detection is decided by the residual in the few grid bins around the

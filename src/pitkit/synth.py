@@ -362,7 +362,13 @@ def synthesize_block(
 
     if disturb.noise_sigma > 0.0 and times:
         noise = noise_rows(cfg.seed, times, len(f))
-        noise *= disturb.noise_sigma
+        with np.errstate(over="raise"):
+            try:
+                noise *= disturb.noise_sigma
+            except FloatingPointError:
+                raise ValueError(
+                    f"noise_sigma {disturb.noise_sigma:g} dB overflows the sweep noise"
+                ) from None
         magnitudes += noise
     return SweepBlock(f, magnitudes, times)
 

@@ -255,6 +255,16 @@ class TestSynthDetect:
         assert err.startswith("error: noise_sigma must be finite")
         assert not out_path.exists()
 
+    @pytest.mark.filterwarnings("error")
+    def test_synth_rejects_overflowing_noise_sigma(self, capsys, tmp_path):
+        """A finite sigma of 1e308 overflows the noise rows: numpy warned,
+        and with warnings as errors the run ended in a traceback."""
+        out_path = tmp_path / "a.csv"
+        code, out, err = run(capsys, "synth", "--output", str(out_path), "--noise-sigma", "1e308")
+        assert code == 1
+        assert out == "" and err == "error: noise_sigma 1e+308 dB overflows the sweep noise\n"
+        assert not out_path.exists()
+
 
 class TestSynthDecode:
     @pytest.mark.parametrize("duration", ["-1", "0", "nan", "inf"])
@@ -377,6 +387,25 @@ class TestSynthDecode:
         )
         assert code == 1
         assert out == "" and err.startswith("error: ") and message in err
+
+    def test_decode_rejects_profile_off_the_grid(self, capsys, tmp_path):
+        """A press profile at 50/60 MHz on a 27-30 MHz session decoded to
+        nothing with exit 0."""
+        session_path, _ = press_session_file(capsys, tmp_path)
+        profile_path = tmp_path / "high.json"
+        profile_path.write_text(json.dumps({
+            "name": "high", "kind": "press", "tolerance_hz": 45e3,
+            "states": [{"label": "idle", "frequency_hz": 50e6},
+                       {"label": "pressed", "frequency_hz": 60e6}],
+        }))
+        code, out, err = run(
+            capsys, "decode", "--session", str(session_path), "--profile", str(profile_path)
+        )
+        assert code == 1
+        assert out == "" and err == (
+            "error: profile 'high' state 'idle' at 50 MHz lies outside the sweep grid span "
+            "27-30 MHz\n"
+        )
 
     def test_decode_rejects_reversed_session(self, capsys, tmp_path):
         session_path, doc = press_session_file(capsys, tmp_path)

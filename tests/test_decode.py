@@ -197,6 +197,21 @@ class TestDecodeStream:
         for first, second in zip(names, names[1:]):
             assert first != second
 
+    @pytest.mark.parametrize("frequency", [26.99e6, 30.01e6])
+    def test_state_off_the_grid_raises(self, frequency):
+        """A state past either end of the 27-30 MHz grid could never be
+        observed; the session used to decode to nothing."""
+        slide = PROFILE_PRESETS["slide"]
+        states = [(s.label, s.frequency) for s in slide.states[:-1]] + [("press", frequency)]
+        off_grid = RingProfile("slide", "slide", slide.tolerance, states)
+        with pytest.raises(ValueError, match=r"state 'press' at .* MHz lies outside the sweep "
+                                             r"grid span 27-30 MHz"):
+            decode_stream(stream_for(slide, ["idle"] * 4), off_grid)
+
+    def test_states_at_the_grid_ends_are_accepted(self):
+        ends = RingProfile("ends", "press", 45e3, (("on", 30e6), ("off", 27e6)))
+        assert decode_stream(stream_for(ends, ["on"] * 4), ends) == []
+
     def test_debounce_validation(self):
         with pytest.raises(ValueError):
             DebounceConfig(confirm_frames=0)
@@ -389,6 +404,13 @@ def frame_peaks(draw, profile):
     return rows
 
 
+class PeakStream(list):
+    """(chunk, detection) pairs that stand in for a block on ``GRID``,
+    where every shipped state lies."""
+
+    frequencies = GRID
+
+
 @st.composite
 def peak_stream(draw, profile):
     """Detector output for a random frame train, as ``detect_stream``
@@ -401,7 +423,7 @@ def peak_stream(draw, profile):
         chunk = SimpleNamespace(timestamps=np.arange(start, stop) / 5.0)
         stream.append((chunk, detection_of(rows[start:stop])))
         start = stop
-    return stream
+    return PeakStream(stream)
 
 
 def frame_loop_debounce(codes, confirm_frames):

@@ -172,9 +172,9 @@ class TestCalibrateCoupling:
 
     def test_each_coupling_synthesized_once(self, monkeypatch):
         """Both searches share one memo, so no coupling is synthesized
-        twice.  At seed 0 the whole call takes at most 16 noise-free
-        blocks (15 of 46 couplings today), where evaluating the 40-step
-        bisection two levels of its tree per block took 37 of 110."""
+        twice.  At seed 0 the whole call takes 9 noise-free blocks of 17
+        couplings; replaying a 40-step bisection after the secant took
+        15 of 46, and evaluating it two tree levels per block 37 of 110."""
         couplings = []
         blocks = []
         original = experiments.synthesize_block
@@ -191,47 +191,76 @@ class TestCalibrateCoupling:
             16.0, sensor, defaults.reader_coil(), defaults.bridge_config(), SweepConfig(seed=0)
         )
         assert len(couplings) == len(set(couplings))
-        assert len(blocks) <= 16
+        assert len(blocks) <= 9
 
     @pytest.mark.parametrize("turns", [5, 7, 8])
     @pytest.mark.parametrize("step", [60e3, 30e3])
     @pytest.mark.parametrize("target", [10.0, 14.0, 20.0])
     def test_equals_the_unmemoised_walk(self, turns, step, target):
-        """Bit-identical to two 40-step bisections that evaluate every
-        midpoint, on 51- and 101-point grids."""
+        """Within ``BRACKET_WIDTH`` of two 40-step bisections that evaluate
+        every midpoint, on 51- and 101-point grids: both bracket the same
+        crossing, the search to 1e-9 relative and the bisection to about
+        1e-11."""
         args = (target, defaults.ring_coil(28.0e6, turns), defaults.reader_coil(),
                 defaults.bridge_config(), SweepConfig(step=step, seed=3))
-        assert calibrate_coupling(*args).hex() == reference_calibration(*args).hex()
+        assert calibrate_coupling(*args) == pytest.approx(
+            reference_calibration(*args), rel=experiments.BRACKET_WIDTH
+        )
 
     def test_non_monotone_height_falls_back_to_the_walk(self, monkeypatch):
-        """Couplings whose last mantissa bit is set show half their
-        noise-free height, so near the crossing a lower k clears the
-        target where a higher one falls short.  Once the evaluated heights
-        show that, the walk evaluates every midpoint it visits, as the
-        unmemoised walk does, and returns its k."""
+        """The bracket needs no monotonicity, so the search has no
+        fallback.  Couplings whose last mantissa bit is set show half
+        their noise-free height, so near the crossing a lower k can meet
+        the target where a higher one falls short.  Each search still
+        returns the geometric middle of two evaluated couplings at most
+        ``BRACKET_WIDTH`` apart, one short of its target and one meeting
+        it.  The noisy fit here sees zero residuals, so the deficit is
+        the whole target and the second search's target is twice the
+        first's."""
         quiet_couplings = []
+        heights = {}
+        noisy_couplings = []
 
         def synth(cfg, pairs, bridge, disturb, timestamps):
             if disturb.noise_sigma == 0.0:
                 quiet_couplings.append([pair.coupling for pair in pairs])
+            else:
+                noisy_couplings.append(pairs[0].coupling)
             return synthesize_block(cfg, pairs, bridge, disturb, timestamps)
 
         def odd_halved(frequencies, magnitudes, cfg):
-            odd = [int(math.ldexp(math.frexp(k)[0], 53)) & 1 for k in quiet_couplings[-1]]
+            ks = quiet_couplings[-1]
+            odd = [int(math.ldexp(math.frexp(k)[0], 53)) & 1 for k in ks]
             residuals = detect_block(frequencies, magnitudes, cfg).residuals
-            return SimpleNamespace(residuals=residuals * np.where(odd, 0.5, 1.0)[:, None])
+            residuals = residuals * np.where(odd, 0.5, 1.0)[:, None]
+            heights.update(zip(ks, residuals.max(axis=1).tolist()))
+            return SimpleNamespace(residuals=residuals)
+
+        def zero_residuals(block, cfg):
+            yield block, SimpleNamespace(residuals=np.zeros(block.magnitudes_db.shape))
+
+        def bracketed(k, target):
+            lo = max(c for c in heights if c < k)
+            hi = min(c for c in heights if c > k)
+            return hi / lo - 1 <= experiments.BRACKET_WIDTH and heights[lo] < target <= heights[hi]
 
         monkeypatch.setattr(experiments, "synthesize_block", synth)
         monkeypatch.setattr(experiments, "detect_block", odd_halved)
+        monkeypatch.setattr(experiments, "detect_stream", zero_residuals)
         for seed, target in [(0, 16.0), (1, 10.0), (2, 20.0)]:
-            args = (target, defaults.ring_coil(28.0e6, 7), defaults.reader_coil(),
-                    defaults.bridge_config(), SweepConfig(seed=seed))
-            quiet_couplings.clear()
-            expected = reference_calibration(*args)
-            visited = {k for (k,) in quiet_couplings}
-            quiet_couplings.clear()
-            assert calibrate_coupling(*args).hex() == expected.hex()
-            assert visited <= {k for block in quiet_couplings for k in block}
+            heights.clear()
+            noisy_couplings.clear()
+            k = calibrate_coupling(target, defaults.ring_coil(28.0e6, 7), defaults.reader_coil(),
+                                   defaults.bridge_config(), SweepConfig(seed=seed))
+            (k0,) = noisy_couplings
+            height = target * defaults.NOISE_SIGMA_DB
+            assert bracketed(k0, height)
+            assert bracketed(k, 2 * height)
+            # the evaluated heights do contradict monotonicity
+            assert any(
+                h_a >= 2 * height > h_b
+                for a, h_a in heights.items() for b, h_b in heights.items() if a < b
+            )
 
     @pytest.mark.parametrize("target", [math.nan, math.inf, 0.0, -5.0])
     def test_rejects_bad_target(self, target):
@@ -262,22 +291,23 @@ class TestCalibrateCoupling:
     @pytest.mark.parametrize(
         "target, seed, k_hex",
         [
-            (10.0, 0, "0x1.566b5db73c72dp-11"),
-            (10.0, 1, "0x1.57fca8a4d8706p-11"),
-            (10.0, 2, "0x1.594c4f2581a1ap-11"),
-            (12.0, 0, "0x1.780e7a895a00bp-11"),
-            (12.0, 1, "0x1.79e9e50ee4566p-11"),
-            (12.0, 2, "0x1.7ae754ffa6da2p-11"),
-            (16.0, 0, "0x1.b2f21c1bb3578p-11"),
-            (16.0, 1, "0x1.b42d193a8adc4p-11"),
-            (16.0, 2, "0x1.b56c409edce1cp-11"),
-            (20.0, 0, "0x1.e4f6280857bd8p-11"),
-            (20.0, 1, "0x1.e7c89f82fe580p-11"),
-            (20.0, 2, "0x1.e89276bda04fbp-11"),
+            (10.0, 0, "0x1.566b5db72a946p-11"),
+            (10.0, 1, "0x1.57fca8a4c3ddcp-11"),
+            (10.0, 2, "0x1.594c4f2573023p-11"),
+            (12.0, 0, "0x1.780e7a890ea25p-11"),
+            (12.0, 1, "0x1.79e9e50e97d3dp-11"),
+            (12.0, 2, "0x1.7ae754ff5000fp-11"),
+            (16.0, 0, "0x1.b2f21c1a1618cp-11"),
+            (16.0, 1, "0x1.b42d1938f4ceap-11"),
+            (16.0, 2, "0x1.b56c409d56a37p-11"),
+            (20.0, 0, "0x1.e4f628072b180p-11"),
+            (20.0, 1, "0x1.e7c89f822e827p-11"),
+            (20.0, 2, "0x1.e89276bcfc7b7p-11"),
         ],
     )
     def test_calibrated_coupling_is_pinned(self, target, seed, k_hex):
-        """Bit-identical to the unmemoised bisection (7-turn ring at 28 MHz)."""
+        """Pinned bit for bit (7-turn ring at 28 MHz), so a change to the
+        search, or anywhere in synth or detect, shows here."""
         sensor = defaults.ring_coil(28.0e6, 7)
         k = calibrate_coupling(
             target, sensor, defaults.reader_coil(), defaults.bridge_config(), SweepConfig(seed=seed)
